@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import colorings, graphs, sequences, solver, verifier
-from .errors import NoSuchSequenceError, ResourceLimitError
+from .errors import DEFAULT_NODE_BUDGET, NoSuchSequenceError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -30,7 +30,7 @@ ENV_NODE_BUDGET = "THUE_NODE_BUDGET"
 def _node_budget() -> int:
     raw = os.environ.get(ENV_NODE_BUDGET)
     if raw is None:
-        return sequences.DEFAULT_NODE_BUDGET
+        return DEFAULT_NODE_BUDGET
     try:
         value = int(raw)
     except ValueError as exc:
@@ -53,9 +53,11 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
-def _parse_graph_spec(spec: str):
+def _parse_graph_spec(spec: str | None):
     """Inline graph spec (path:N, cycle:N, complete:N, empty:N, tree:a,b,c,
     g0) or a JSON file holding a graph or a product."""
+    if spec is None:
+        raise ValueError("missing graph spec")
     kind, _, arg = spec.partition(":")
     builders = {
         "path": graphs.build_path,
@@ -75,6 +77,20 @@ def _parse_graph_spec(spec: str):
     if isinstance(d, dict) and "base" in d:
         return "product", graphs.product_from_json_dict(d)
     return "graph", graphs.graph_from_json_dict(d)
+
+
+def _base_graph(spec: str | None) -> graphs.Graph:
+    """The plain graph named by ``--base``."""
+    kind, base = _parse_graph_spec(spec)
+    if kind != "graph":
+        raise ValueError("--base must be a plain graph")
+    return base
+
+
+def _required_n(n: int | None, what: str) -> int:
+    if n is None:
+        raise ValueError(f"{what} needs --n")
+    return n
 
 
 def _load_view(spec: str) -> graphs.Graph:
@@ -113,35 +129,27 @@ def coloring_to_json_dict(col) -> dict:
 # -- gen ----------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind == "path":
-        payload = graphs.graph_to_json_dict(graphs.build_path(args.n))
-        dot_graph = graphs.build_path(args.n)
-    elif args.kind == "cycle":
-        payload = graphs.graph_to_json_dict(graphs.build_cycle(args.n))
-        dot_graph = graphs.build_cycle(args.n)
+    if args.kind in ("path", "cycle"):
+        build = graphs.build_path if args.kind == "path" else graphs.build_cycle
+        g = build(_required_n(args.n, args.kind))
     elif args.kind == "tree":
-        tree, _ = graphs.build_rooted_tree(
+        g, _ = graphs.build_rooted_tree(
             args.root_children, args.internal_children, args.leaf_depth
         )
-        payload = graphs.graph_to_json_dict(tree)
-        dot_graph = tree
     elif args.kind == "g0":
         g, core = graphs.build_outerplanar_g0()
-        payload = graphs.graph_to_json_dict(g)
-        dot_graph = g
         _note(f"g0: {g.n} vertices, {g.m} edges, core size {len(core)}")
     else:  # product
-        kind, base = _parse_graph_spec(args.base)
-        if kind != "graph":
-            raise ValueError("--base must be a plain graph")
-        pg = graphs.lex_product(base, args.inner, args.k)
-        payload = graphs.product_to_json_dict(pg)
-        dot_graph = pg.view
-        _note(f"product: {pg.view.n} vertices, {pg.view.m} edges")
-    _emit(payload, args.output)
+        pg = graphs.lex_product(_base_graph(args.base), args.inner, args.k)
+        g = pg.view
+        _note(f"product: {g.n} vertices, {g.m} edges")
+    if args.kind == "product":
+        _emit(graphs.product_to_json_dict(pg), args.output)
+    else:
+        _emit(graphs.graph_to_json_dict(g), args.output)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graphs.to_dot(dot_graph))
+            fh.write(graphs.to_dot(g))
     return EXIT_OK
 
 
@@ -171,7 +179,7 @@ def _cmd_color(args) -> int:
             "path-rainbow": (colorings.color_path_rainbow, graphs.EMPTY),
             "path-complete": (colorings.color_path_complete, graphs.COMPLETE),
         }[args.construction]
-        col = build[0](args.n, args.k)
+        col = build[0](_required_n(args.n, args.construction), args.k)
         pg = graphs.lex_product(graphs.build_path(args.n), build[1], args.k)
     _emit(coloring_to_json_dict(col), args.output)
     rain = verifier.is_rainbow(pg, col.colors)
@@ -246,8 +254,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     limits = solver.SearchLimits(
-        max_nodes=args.max_nodes if args.max_nodes else _node_budget(),
-        time_budget=args.time_budget if args.time_budget else float("inf"),
+        max_nodes=args.max_nodes if args.max_nodes is not None else _node_budget(),
+        time_budget=args.time_budget if args.time_budget is not None else float("inf"),
         palette_cap=args.palette_cap,
     )
     started = time.monotonic()
@@ -256,10 +264,7 @@ def _cmd_solve(args) -> int:
         result = solver.thue_number(view, limits)
     elif args.mode == "rainbow":
         if args.base:
-            kind, base = _parse_graph_spec(args.base)
-            if kind != "graph":
-                raise ValueError("--base must be a plain graph")
-            pg = graphs.lex_product(base, args.inner, args.k)
+            pg = graphs.lex_product(_base_graph(args.base), args.inner, args.k)
         else:
             kind, pg = _parse_graph_spec(args.graph)
             if kind != "product":

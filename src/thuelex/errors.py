@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types and the default search budget shared across the package.
 
 Invalid arguments raise the stdlib ValueError everywhere; only outcomes that
 callers are expected to branch on get their own class.
 """
+
+# Default node budget of every search: solver assignments, sequence
+# expansions and projected walk counts alike.
+DEFAULT_NODE_BUDGET = 100_000_000
 
 
 class NoSuchSequenceError(Exception):

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoSuchSequenceError, ResourceLimitError
-
-DEFAULT_NODE_BUDGET = 100_000_000
+from .errors import DEFAULT_NODE_BUDGET, NoSuchSequenceError, ResourceLimitError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

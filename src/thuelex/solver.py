@@ -1,14 +1,17 @@
 """Exact Thue, rainbow-Thue and tuple-coloring feasibility on small instances
 by branch and bound, plus the independent brute-force oracle used in tests.
 
-The search assigns vertices in a fixed order (BFS from vertex 0), so the
-colored set is always a prefix of that order.  All even simple paths are
-enumerated once up front and bucketed by the last vertex of the path in
-assignment order: when a vertex is (re)assigned, exactly the paths completed
-by it need rechecking, each as a flat list of positions that must agree in
-color.  Value symmetry is broken by allowing color c+1 only after c has been
-used; ascending-q optimum searches make the dominant infeasibility proofs as
-small as possible.
+One engine, ``_search``, serves every mode: it gives each vertex a p-subset
+of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
+plain color c is the mask 1 << c).  Vertices are assigned in a fixed order
+(BFS from vertex 0, or whole layers for rainbow searches), so the colored set
+is always a prefix of that order.  All even simple paths are enumerated once
+up front and bucketed by the last vertex of the path in assignment order:
+when a vertex is (re)assigned, exactly the paths completed by it need
+rechecking, each as a flat list of positions whose masks must not all meet.
+Value symmetry is broken by allowing fresh colors only as the block right
+above the largest color used; ascending-q optimum searches make the dominant
+infeasibility proofs as small as possible.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .colorings import Coloring, TupleColoring
+from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .graphs import Graph, ProductGraph
-
-DEFAULT_NODE_BUDGET = 100_000_000
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower_bound_only"
@@ -153,193 +155,6 @@ def _path_buckets(
     return buckets
 
 
-def _paths_ok(bucket: list[tuple], colors: list[int]) -> bool:
-    """True iff no bucketed path has all its agreement pairs equal."""
-    for pr in bucket:
-        i = 0
-        m = len(pr)
-        while i < m:
-            if colors[pr[i]] != colors[pr[i + 1]]:
-                break
-            i += 2
-        else:
-            return False
-    return True
-
-
-def _solve_plain(
-    g: Graph,
-    q: int,
-    budget: _Budget,
-    *,
-    symmetry_breaking: bool = True,
-    max_path_vertices: int | None = None,
-    layer_size: int = 0,
-    order: list[int] | None = None,
-) -> tuple[str, bool, list[int] | None]:
-    """Shared engine for plain and rainbow feasibility.
-
-    layer_size > 0 adds the rainbow constraint (vertices v//layer_size share
-    a layer and must take distinct colors); rainbow callers pass a
-    layer-major assignment order."""
-    n = g.n
-    if n == 0:
-        return STATUS_EXACT, True, []
-    if order is None:
-        order = bfs_order(g)
-    buckets = _path_buckets(g, order, max_path_vertices or n, budget)
-    if buckets is None:
-        return STATUS_TIMEOUT, False, None
-    colors = [-1] * n
-    try_next = [0] * n
-    placed = [0] * n
-    maxused = [-1] * (n + 1)
-    layer_mask = [0] * (n // layer_size if layer_size else 0)
-    r = 0
-    while True:
-        v = order[r]
-        limit = min(q - 1, maxused[r] + 1) if symmetry_breaking else q - 1
-        bucket = buckets[r]
-        lay = v // layer_size if layer_size else -1
-        pick = -1
-        c = try_next[r]
-        while c <= limit:
-            if not budget.charge(1):
-                return STATUS_TIMEOUT, False, None
-            if layer_size and (layer_mask[lay] >> c) & 1:
-                c += 1
-                continue
-            colors[v] = c
-            if _paths_ok(bucket, colors):
-                pick = c
-                break
-            c += 1
-        if pick >= 0:
-            try_next[r] = pick + 1
-            placed[r] = pick
-            if layer_size:
-                layer_mask[lay] |= 1 << pick
-            maxused[r + 1] = maxused[r] if pick <= maxused[r] else pick
-            r += 1
-            if r == n:
-                out = [0] * n
-                for rr in range(n):
-                    out[order[rr]] = placed[rr]
-                return STATUS_EXACT, True, out
-            try_next[r] = 0
-        else:
-            colors[v] = -1
-            r -= 1
-            if r < 0:
-                return STATUS_EXACT, False, None
-            if layer_size:
-                pv = order[r]
-                layer_mask[pv // layer_size] &= ~(1 << placed[r])
-            colors[order[r]] = -1
-
-
-def _layer_major_order(pg: ProductGraph) -> list[int]:
-    """Assignment order for rainbow searches: base BFS order, whole layers."""
-    return [b * pg.k + j for b in bfs_order(pg.base) for j in range(pg.k)]
-
-
-def exists_coloring(
-    g: Graph,
-    q: int,
-    limits: SearchLimits | None = None,
-    *,
-    symmetry_breaking: bool = True,
-) -> SolveResult:
-    """Decide whether a nonrepetitive q-coloring of g exists (exact unless
-    the budget runs out)."""
-    if q < 1:
-        raise ValueError("palette size must be positive")
-    budget = _Budget(limits or SearchLimits())
-    status, feasible, witness = _solve_plain(
-        g, q, budget, symmetry_breaking=symmetry_breaking
-    )
-    if status == STATUS_TIMEOUT:
-        return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
-    col = Coloring(q, tuple(witness)) if feasible else None
-    return SolveResult(STATUS_EXACT, feasible, col, budget.spent)
-
-
-def find_coloring_bounded(
-    g: Graph, q: int, max_path_vertices: int, limits: SearchLimits | None = None
-) -> tuple[int, ...] | None:
-    """First q-coloring with no repetitive path of at most max_path_vertices
-    vertices, or None if none exists.  Raises ResourceLimitError on budget
-    exhaustion.  Used by construction fallbacks; not an exactness claim."""
-    from .errors import ResourceLimitError
-
-    budget = _Budget(limits or SearchLimits())
-    status, feasible, witness = _solve_plain(
-        g, q, budget, max_path_vertices=max(2, max_path_vertices - max_path_vertices % 2)
-    )
-    if status == STATUS_TIMEOUT:
-        raise ResourceLimitError("bounded coloring search ran out of budget")
-    return tuple(witness) if feasible else None
-
-
-def thue_number(g: Graph, limits: SearchLimits | None = None) -> SolveResult:
-    """Smallest q admitting a nonrepetitive q-coloring, by ascending search;
-    exact only when feasibility at q and infeasibility at q-1 both are."""
-    limits = limits or SearchLimits()
-    budget = _Budget(limits)
-    cap = min(limits.palette_cap, max(g.n, 1))
-    for q in range(1, cap + 1):
-        status, feasible, witness = _solve_plain(g, q, budget)
-        if status == STATUS_TIMEOUT:
-            return SolveResult(STATUS_LOWER_BOUND, q, None, budget.spent)
-        if feasible:
-            return SolveResult(
-                STATUS_EXACT, q, Coloring(q, tuple(witness)), budget.spent
-            )
-    return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, budget.spent)
-
-
-def rainbow_exists_coloring(
-    pg: ProductGraph, q: int, limits: SearchLimits | None = None
-) -> SolveResult:
-    """Decide existence of a nonrepetitive coloring with every layer rainbow.
-
-    Branches over ordered layer tuples (vertex by vertex within the layer,
-    which prunes tuple prefixes early); the first layer is canonically
-    colored 0..k-1 by the combination of value symmetry breaking and the
-    rainbow constraint."""
-    if q < 1:
-        raise ValueError("palette size must be positive")
-    budget = _Budget(limits or SearchLimits())
-    status, feasible, witness = _solve_plain(
-        pg.view, q, budget, layer_size=pg.k, order=_layer_major_order(pg)
-    )
-    if status == STATUS_TIMEOUT:
-        return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
-    col = Coloring(q, tuple(witness)) if feasible else None
-    return SolveResult(STATUS_EXACT, feasible, col, budget.spent)
-
-
-def rainbow_thue_number(
-    pg: ProductGraph, limits: SearchLimits | None = None
-) -> SolveResult:
-    """Smallest palette for a rainbow nonrepetitive coloring of the product."""
-    limits = limits or SearchLimits()
-    budget = _Budget(limits)
-    cap = min(limits.palette_cap, max(pg.view.n, 1))
-    order = _layer_major_order(pg)
-    for q in range(pg.k, cap + 1):
-        status, feasible, witness = _solve_plain(
-            pg.view, q, budget, layer_size=pg.k, order=order
-        )
-        if status == STATUS_TIMEOUT:
-            return SolveResult(STATUS_LOWER_BOUND, q, None, budget.spent)
-        if feasible:
-            return SolveResult(
-                STATUS_EXACT, q, Coloring(q, tuple(witness)), budget.spent
-            )
-    return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, budget.spent)
-
-
 def _tuple_candidates(maxused: int, p: int, q: int) -> list[tuple[int, tuple[int, ...]]]:
     """Canonical p-subsets available when colors 0..maxused are in use: any
     number of fresh colors must form the consecutive block right above
@@ -359,6 +174,179 @@ def _tuple_candidates(maxused: int, p: int, q: int) -> list[tuple[int, tuple[int
     return out
 
 
+def _search(
+    g: Graph,
+    p: int,
+    q: int,
+    budget: _Budget,
+    *,
+    symmetry_breaking: bool = True,
+    max_path_vertices: int | None = None,
+    layer_size: int = 0,
+    order: list[int] | None = None,
+) -> tuple[str, bool, list[tuple[int, ...]] | None]:
+    """The one assignment engine: gives every vertex a p-subset of 0..q-1
+    (p = 1 for plain and rainbow colorings), returned per vertex.
+
+    Candidates at rank r are ``_tuple_candidates(maxused[r], p, q)``, or
+    every p-subset when symmetry breaking is off.  layer_size > 0 adds the
+    rainbow constraint (vertices v//layer_size share a layer and must take
+    disjoint sets); rainbow callers pass a layer-major assignment order."""
+    n = g.n
+    if n == 0:
+        return STATUS_EXACT, True, []
+    if order is None:
+        order = bfs_order(g)
+    buckets = _path_buckets(g, order, max_path_vertices or n, budget)
+    if buckets is None:
+        return STATUS_TIMEOUT, False, None
+    cand_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    masks = [0] * n
+    placed: list[tuple[int, tuple[int, ...]]] = [(0, ())] * n
+    try_next = [0] * n
+    maxused = [-1] * (n + 1)
+    layer_mask = [0] * (n // layer_size if layer_size else 0)
+    r = 0
+    while True:
+        v = order[r]
+        key = maxused[r] if symmetry_breaking else q - 1
+        cands = cand_cache.get(key)
+        if cands is None:
+            cands = cand_cache[key] = _tuple_candidates(key, p, q)
+        bucket = buckets[r]
+        lay = v // layer_size if layer_size else -1
+        i = try_next[r]
+        while i < len(cands):
+            if not budget.charge(1):
+                return STATUS_TIMEOUT, False, None
+            m = cands[i][0]
+            if not (layer_size and layer_mask[lay] & m):
+                masks[v] = m
+                # accept unless some bucketed path has all its pairs meeting
+                for pr in bucket:
+                    j, end = 0, len(pr)
+                    while j < end and masks[pr[j]] & masks[pr[j + 1]]:
+                        j += 2
+                    if j == end:
+                        break
+                else:
+                    break
+            i += 1
+        if i < len(cands):
+            try_next[r] = i + 1
+            m, s = placed[r] = cands[i]
+            if layer_size:
+                layer_mask[lay] |= m
+            maxused[r + 1] = max(maxused[r], s[-1])
+            r += 1
+            if r == n:
+                out: list[tuple[int, ...]] = [()] * n
+                for rr in range(n):
+                    out[order[rr]] = placed[rr][1]
+                return STATUS_EXACT, True, out
+            try_next[r] = 0
+        else:
+            masks[v] = 0
+            r -= 1
+            if r < 0:
+                return STATUS_EXACT, False, None
+            if layer_size:
+                layer_mask[order[r] // layer_size] &= ~placed[r][0]
+            masks[order[r]] = 0
+
+
+def _layer_major_order(pg: ProductGraph) -> list[int]:
+    """Assignment order for rainbow searches: base BFS order, whole layers."""
+    return [b * pg.k + j for b in bfs_order(pg.base) for j in range(pg.k)]
+
+
+def _coloring(q: int, sets: list[tuple[int, ...]] | None) -> Coloring | None:
+    return None if sets is None else Coloring(q, tuple(c for (c,) in sets))
+
+
+def _decide(g: Graph, q: int, limits: SearchLimits | None, **engine) -> SolveResult:
+    """Plain or rainbow feasibility at palette size q."""
+    if q < 1:
+        raise ValueError("palette size must be positive")
+    budget = _Budget(limits or SearchLimits())
+    status, feasible, sets = _search(g, 1, q, budget, **engine)
+    if status == STATUS_TIMEOUT:
+        return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
+    return SolveResult(STATUS_EXACT, feasible, _coloring(q, sets), budget.spent)
+
+
+def _least_palette(
+    g: Graph, first: int, limits: SearchLimits | None, **engine
+) -> SolveResult:
+    """Smallest palette size >= first admitting a coloring, by ascending
+    search; exact only when feasibility at q and infeasibility below q both
+    are."""
+    limits = limits or SearchLimits()
+    budget = _Budget(limits)
+    cap = min(limits.palette_cap, max(g.n, 1))
+    for q in range(first, cap + 1):
+        status, feasible, sets = _search(g, 1, q, budget, **engine)
+        if status == STATUS_TIMEOUT:
+            return SolveResult(STATUS_LOWER_BOUND, q, None, budget.spent)
+        if feasible:
+            return SolveResult(STATUS_EXACT, q, _coloring(q, sets), budget.spent)
+    return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, budget.spent)
+
+
+def exists_coloring(
+    g: Graph,
+    q: int,
+    limits: SearchLimits | None = None,
+    *,
+    symmetry_breaking: bool = True,
+) -> SolveResult:
+    """Decide whether a nonrepetitive q-coloring of g exists (exact unless
+    the budget runs out)."""
+    return _decide(g, q, limits, symmetry_breaking=symmetry_breaking)
+
+
+def find_coloring_bounded(
+    g: Graph, q: int, max_path_vertices: int, limits: SearchLimits | None = None
+) -> tuple[int, ...] | None:
+    """First q-coloring with no repetitive path of at most max_path_vertices
+    vertices, or None if none exists.  Raises ResourceLimitError on budget
+    exhaustion.  Used by construction fallbacks; not an exactness claim."""
+    budget = _Budget(limits or SearchLimits())
+    status, feasible, sets = _search(
+        g, 1, q, budget, max_path_vertices=max(2, max_path_vertices - max_path_vertices % 2)
+    )
+    if status == STATUS_TIMEOUT:
+        raise ResourceLimitError("bounded coloring search ran out of budget")
+    return tuple(c for (c,) in sets) if feasible else None
+
+
+def thue_number(g: Graph, limits: SearchLimits | None = None) -> SolveResult:
+    """Smallest q admitting a nonrepetitive q-coloring, by ascending search;
+    exact only when feasibility at q and infeasibility at q-1 both are."""
+    return _least_palette(g, 1, limits)
+
+
+def rainbow_exists_coloring(
+    pg: ProductGraph, q: int, limits: SearchLimits | None = None
+) -> SolveResult:
+    """Decide existence of a nonrepetitive coloring with every layer rainbow.
+
+    Branches over ordered layer tuples (vertex by vertex within the layer,
+    which prunes tuple prefixes early); the first layer is canonically
+    colored 0..k-1 by the combination of value symmetry breaking and the
+    rainbow constraint."""
+    return _decide(pg.view, q, limits, layer_size=pg.k, order=_layer_major_order(pg))
+
+
+def rainbow_thue_number(
+    pg: ProductGraph, limits: SearchLimits | None = None
+) -> SolveResult:
+    """Smallest palette for a rainbow nonrepetitive coloring of the product."""
+    return _least_palette(
+        pg.view, pg.k, limits, layer_size=pg.k, order=_layer_major_order(pg)
+    )
+
+
 def exists_tuple_coloring(
     g: Graph, p: int, q: int, limits: SearchLimits | None = None
 ) -> SolveResult:
@@ -368,67 +356,11 @@ def exists_tuple_coloring(
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
     budget = _Budget(limits or SearchLimits())
-    n = g.n
-    if n == 0:
-        return SolveResult(STATUS_EXACT, True, TupleColoring(p, q, ()), budget.spent)
-    order = bfs_order(g)
-    buckets = _path_buckets(g, order, n, budget)
-    if buckets is None:
+    status, feasible, sets = _search(g, p, q, budget)
+    if status == STATUS_TIMEOUT:
         return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
-    cand_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    masks = [0] * n
-    chosen: list[tuple[int, ...] | None] = [None] * n
-    try_next = [0] * n
-    maxused = [-1] * (n + 1)
-    r = 0
-    while True:
-        v = order[r]
-        cands = cand_cache.get(maxused[r])
-        if cands is None:
-            cands = cand_cache.setdefault(maxused[r], _tuple_candidates(maxused[r], p, q))
-        bucket = buckets[r]
-        pick = -1
-        i = try_next[r]
-        while i < len(cands):
-            if not budget.charge(1):
-                return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
-            m, s = cands[i]
-            masks[v] = m
-            ok = True
-            for pr in bucket:
-                jj = 0
-                mm = len(pr)
-                while jj < mm:
-                    if not masks[pr[jj]] & masks[pr[jj + 1]]:
-                        break
-                    jj += 2
-                else:
-                    ok = False
-                    break
-            if ok:
-                pick = i
-                break
-            i += 1
-        if pick >= 0:
-            try_next[r] = pick + 1
-            chosen[v] = cands[pick][1]
-            maxused[r + 1] = max(maxused[r], cands[pick][1][-1])
-            r += 1
-            if r == n:
-                return SolveResult(
-                    STATUS_EXACT,
-                    True,
-                    TupleColoring(p, q, tuple(chosen)),  # type: ignore[arg-type]
-                    budget.spent,
-                )
-            try_next[r] = 0
-        else:
-            masks[v] = 0
-            r -= 1
-            if r < 0:
-                return SolveResult(STATUS_EXACT, False, None, budget.spent)
-            masks[order[r]] = 0
-            chosen[order[r]] = None
+    witness = TupleColoring(p, q, tuple(sets)) if feasible else None
+    return SolveResult(STATUS_EXACT, feasible, witness, budget.spent)
 
 
 def brute_oracle(g: Graph, coloring: Coloring) -> bool:

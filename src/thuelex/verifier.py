@@ -1,11 +1,16 @@
 """Decide whether colorings are nonrepetitive, rainbow, tuple-nonrepetitive
 or walk-nonrepetitive, producing re-checkable witnesses.
 
-Path searches iterate the target half-length l outermost and enumerate simple
-paths by DFS from each start vertex; at depth >= l an extension must repeat
-the color l positions back, which prunes almost everything.  Each undirected
-path is reported in one canonical orientation (smaller endpoint first); the
-reversal of a repetition is again a repetition, so this loses nothing.
+Plain and tuple colorings share one repetitive-path search: a plain color c
+is the color set {c}, and positions i and i+l of an even path agree when
+their color sets meet.  Each distinct set gets a label, and ``step[x][L]``
+lists the neighbours of x (ascending) whose set meets the set labelled L.
+The search iterates the half-length l outermost and extends simple paths by
+DFS from each start vertex: the first half walks the adjacency freely, the
+second half walks only ``step[last][label of the vertex l back]``, which
+prunes almost everything.  Each undirected path is reported in one canonical
+orientation (smaller endpoint first); the reversal of a repetition is again
+a repetition, so this loses nothing.
 
 With max_vertices = |V| rounded down to even the check is exact; smaller
 bounds give sound but partial verification and the caller must say so.
@@ -15,17 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
 from .graphs import Graph, ProductGraph
-
-DEFAULT_WALK_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
 class RepetitionWitness:
     """An even path whose color string is a repetition; ``half_colors`` are
-    the l colors of the first half (for tuple colorings, a common color per
-    position)."""
+    the l colors of the first half (for tuple colorings, the least color
+    common to positions i and i+l)."""
 
     path: tuple[int, ...]
     half_colors: tuple[int, ...]
@@ -47,50 +50,66 @@ def is_exact_bound(g: Graph, max_vertices: int) -> bool:
     return max_vertices >= g.n - (g.n % 2)
 
 
+def _find_repetition(g: Graph, sets, max_vertices: int) -> RepetitionWitness | None:
+    """First (in l, then start vertex, then lexicographic extension order)
+    even simple path of at most max_vertices vertices whose positions i and
+    i+l have meeting color sets, or None."""
+    sets = [frozenset(s) for s in sets]
+    _check_coloring_size(g, len(sets))
+    bound = _even_bound(g, max_vertices)
+    labels: dict = {}
+    lab = [labels.setdefault(s, len(labels)) for s in sets]
+    holders: dict = {}
+    for s, label in labels.items():
+        for c in s:
+            holders.setdefault(c, []).append(label)
+    # meets[L]: the labels of every set that meets the set labelled L
+    meets = [{m for c in s for m in holders[c]} for s in labels]
+    adj = g.adj
+    step = []
+    for x in range(g.n):
+        by_label: dict = {}
+        for u in adj[x]:
+            for label in meets[lab[u]]:
+                by_label.setdefault(label, []).append(u)
+        step.append(by_label)
+    in_path = bytearray(g.n)
+    for l in range(1, bound // 2 + 1):
+        m = 2 * l
+        for start in range(g.n):
+            path = [start]
+            in_path[start] = 1
+            stack = [iter(adj[start] if l > 1 else step[start].get(lab[start], ()))]
+            while stack:
+                for u in stack[-1]:
+                    if not in_path[u]:
+                        break
+                else:
+                    stack.pop()
+                    in_path[path.pop()] = 0
+                    continue
+                path.append(u)
+                d = len(path)
+                if d == m:
+                    if start < u:
+                        half = tuple(
+                            min(sets[path[i]] & sets[path[i + l]]) for i in range(l)
+                        )
+                        return RepetitionWitness(tuple(path), half)
+                    path.pop()
+                    continue
+                in_path[u] = 1
+                stack.append(iter(adj[u] if d < l else step[u].get(lab[path[d - l]], ())))
+    return None
+
+
 def find_repetitive_path(
     g: Graph, colors, max_vertices: int
 ) -> RepetitionWitness | None:
     """First (in l, then start-vertex, then lexicographic extension order)
     even simple path of at most max_vertices vertices whose colors form a
     repetition, or None."""
-    colors = tuple(colors)
-    _check_coloring_size(g, len(colors))
-    bound = _even_bound(g, max_vertices)
-    adj = g.adj
-    in_path = bytearray(g.n)
-
-    def extend(path: list[int], l: int) -> list[int] | None:
-        d = len(path)
-        if d == 2 * l:
-            return path[:] if path[0] < path[-1] else None
-        want = colors[path[d - l]] if d >= l else None
-        for u in adj[path[-1]]:
-            if in_path[u]:
-                continue
-            if want is not None and colors[u] != want:
-                continue
-            in_path[u] = 1
-            path.append(u)
-            hit = extend(path, l)
-            path.pop()
-            in_path[u] = 0
-            if hit is not None:
-                return hit
-        return None
-
-    for l in range(1, bound // 2 + 1):
-        if l == 1:
-            for u, v in g.edges():
-                if colors[u] == colors[v]:
-                    return RepetitionWitness((u, v), (colors[u],))
-            continue
-        for start in range(g.n):
-            in_path[start] = 1
-            hit = extend([start], l)
-            in_path[start] = 0
-            if hit is not None:
-                return RepetitionWitness(tuple(hit), tuple(colors[v] for v in hit[:l]))
-    return None
+    return _find_repetition(g, [(c,) for c in colors], max_vertices)
 
 
 def is_rainbow(pg: ProductGraph, colors) -> bool:
@@ -111,44 +130,7 @@ def find_tuple_repetitive_path(
     """Tuple-coloring analogue: an even path admits a repetitive choice iff
     the color sets at positions i and i+l intersect for every i (positions
     are distinct vertices, so the choices are independent)."""
-    masks = []
-    for s in sets:
-        m = 0
-        for c in s:
-            m |= 1 << c
-        masks.append(m)
-    _check_coloring_size(g, len(masks))
-    bound = _even_bound(g, max_vertices)
-    adj = g.adj
-    in_path = bytearray(g.n)
-
-    def extend(path: list[int], l: int) -> list[int] | None:
-        d = len(path)
-        if d == 2 * l:
-            return path[:] if path[0] < path[-1] else None
-        need = masks[path[d - l]] if d >= l else ~0
-        for u in adj[path[-1]]:
-            if in_path[u] or not masks[u] & need:
-                continue
-            in_path[u] = 1
-            path.append(u)
-            hit = extend(path, l)
-            path.pop()
-            in_path[u] = 0
-            if hit is not None:
-                return hit
-        return None
-
-    for l in range(1, bound // 2 + 1):
-        for start in range(g.n):
-            in_path[start] = 1
-            hit = extend([start], l)
-            in_path[start] = 0
-            if hit is not None:
-                common = [masks[hit[i]] & masks[hit[i + l]] for i in range(l)]
-                half = tuple((m & -m).bit_length() - 1 for m in common)
-                return RepetitionWitness(tuple(hit), half)
-    return None
+    return _find_repetition(g, sets, max_vertices)
 
 
 def _count_walks_up_to(g: Graph, max_vertices: int) -> int:
@@ -163,7 +145,7 @@ def _count_walks_up_to(g: Graph, max_vertices: int) -> int:
 
 
 def is_walk_nonrepetitive(
-    g: Graph, colors, max_walk_vertices: int, *, node_budget: int = DEFAULT_WALK_BUDGET
+    g: Graph, colors, max_walk_vertices: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """True iff no non-boring walk of at most the given even vertex count is
     repetitively colored.  A boring walk (second half revisits the first
@@ -179,27 +161,26 @@ def is_walk_nonrepetitive(
             f"projected {projected} walks exceeds budget {node_budget}"
         )
     adj = g.adj
-    walk: list[int] = []
-
-    def extend(t: int) -> bool:
-        """True iff a repetitively colored non-boring 2t-walk extends."""
-        d = len(walk)
-        if d == 2 * t:
-            return any(walk[i] != walk[t + i] for i in range(t))
-        for u in adj[walk[-1]]:
-            if d >= t and colors[u] != colors[walk[d - t]]:
-                continue
-            walk.append(u)
-            if extend(t):
-                return True
-            walk.pop()
-        return False
-
     for t in range(1, max_walk_vertices // 2 + 1):
         for start in range(g.n):
-            walk[:] = [start]
-            if extend(t):
-                return False
+            walk = [start]
+            stack = [iter(adj[start])]
+            while stack:
+                d = len(walk)
+                for u in stack[-1]:
+                    if d < t or colors[u] == colors[walk[d - t]]:
+                        break
+                else:
+                    stack.pop()
+                    walk.pop()
+                    continue
+                walk.append(u)
+                if d + 1 < 2 * t:
+                    stack.append(iter(adj[u]))
+                elif any(walk[i] != walk[t + i] for i in range(t)):
+                    return False
+                else:
+                    walk.pop()
     return True
 
 

@@ -23,6 +23,15 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen", "path"), ("gen", "cycle"), ("gen", "product"), ("color", "path-empty")],
+    )
+    def test_missing_required_flag_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "error" in err
+
     def test_product(self, capsys, tmp_path):
         out_file = tmp_path / "p.json"
         code, _, _ = run(
@@ -140,6 +149,13 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["walk_nonrepetitive"] is False
 
+    def test_long_walks_exit_0(self, capsys, tmp_path):
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 2, "colors": [0, 1]}))
+        code, out, _ = run(capsys, "verify", "path:2", str(col), "--walks", "2000")
+        assert code == 0
+        assert json.loads(out)["walk_nonrepetitive"] is True
+
     def test_one_based_coloring_accepted(self, capsys, tmp_path):
         col = tmp_path / "c.json"
         col.write_text(
@@ -218,6 +234,17 @@ class TestSolve:
     def test_missing_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "solve", "cycle:7", "--mode", "tuple")
         assert code == 2
+
+    def test_missing_graph_exit_2(self, capsys):
+        code, _, err = run(capsys, "solve", "--mode", "thue")
+        assert code == 2
+        assert "missing graph spec" in err
+
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--time-budget"])
+    def test_zero_budget_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "solve", "path:3", flag, "0")
+        assert code == 2
+        assert out == "" and "positive" in err
 
 
 class TestSeq:

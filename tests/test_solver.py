@@ -165,6 +165,39 @@ class TestTuple:
         assert r.status == "timeout"
 
 
+P6E2 = lex_product(build_path(6), EMPTY, 2)
+
+# (call, status, value, nodes_explored), recorded before the plain, rainbow
+# and tuple searches were merged into one engine; any change to candidate
+# order or budget charging shows up here.
+PINNED = [
+    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 10430),
+    (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 198),
+    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1242),
+    (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 62),
+    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 107),
+    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 95),
+    (lambda: exists_coloring(P6E2.view, 5, SearchLimits(max_nodes=1000)), "timeout", None, 1001),
+]
+
+
+class TestPinned:
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_status_value_nodes(self, case):
+        call, status, value, nodes = PINNED[case]
+        r = call()
+        assert (r.status, r.value, r.nodes_explored) == (status, value, nodes)
+
+    def test_single_color_tuples_match_plain(self):
+        for name, g in SMALL:
+            for q in (2, 3, 4):
+                t = exists_tuple_coloring(g, 1, q)
+                c = exists_coloring(g, q)
+                assert (t.value, t.nodes_explored) == (c.value, c.nodes_explored), (name, q)
+                if c.value:
+                    assert t.witness.sets == tuple((x,) for x in c.witness.colors), (name, q)
+
+
 class TestLemma1Star:
     """A nonrepetitive coloring of S_3[E_2] that repeats a color inside the
     center layer needs at least 3*2+1 colors, so with at most 6 colors every
