@@ -107,12 +107,22 @@ def _load_coloring(path: str):
         raise ValueError("coloring JSON must be an object")
     shift = 1 if d.get("one_based") else 0
     if "sets" in d:
-        sets = tuple(tuple(sorted(c - shift for c in s)) for s in d["sets"])
+        raw = d["sets"]
+        if not isinstance(raw, list):
+            raise ValueError("'sets' must be a list of integer lists")
+        sets = tuple(tuple(sorted(c - shift for c in _int_list(s, "each set"))) for s in raw)
         return "tuple", colorings.TupleColoring(d["p"], d["q"], sets)
     if "colors" in d:
-        cols = tuple(c - shift for c in d["colors"])
+        cols = tuple(c - shift for c in _int_list(d["colors"], "'colors'"))
         return "plain", colorings.Coloring(d["palette"], cols)
     raise ValueError("coloring JSON needs 'colors' or 'sets'")
+
+
+def _int_list(value, what: str) -> list:
+    """``value`` itself, once it is known to be a JSON list of integers."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
 
 
 def coloring_to_json_dict(col) -> dict:

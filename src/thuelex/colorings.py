@@ -24,8 +24,8 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.palette < 1:
-            raise ValueError("palette must be positive")
+        if type(self.palette) is not int or self.palette < 1:
+            raise ValueError("palette must be a positive integer")
         for c in self.colors:
             if not 0 <= c < self.palette:
                 raise ValueError(f"color {c} outside palette of size {self.palette}")
@@ -43,8 +43,8 @@ class TupleColoring:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not 1 <= self.p < self.q:
-            raise ValueError("need 1 <= p < q")
+        if not (type(self.p) is int and type(self.q) is int and 1 <= self.p < self.q):
+            raise ValueError("need integers 1 <= p < q")
         for s in self.sets:
             if len(s) != self.p or len(set(s)) != self.p:
                 raise ValueError(f"set {s} is not a {self.p}-subset")

@@ -238,9 +238,10 @@ def graph_from_json_dict(d: dict) -> Graph:
         raise ValueError("'n' must be an integer")
     edges = d["edges"]
     if not isinstance(edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 for e in edges
+        not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e)
+        for e in edges
     ):
-        raise ValueError("'edges' must be a list of [u, v] pairs")
+        raise ValueError("'edges' must be a list of [u, v] integer pairs")
     return Graph.from_edges(n, [(e[0], e[1]) for e in edges])
 
 
@@ -255,6 +256,8 @@ def product_to_json_dict(pg: ProductGraph) -> dict:
 def product_from_json_dict(d: dict) -> ProductGraph:
     if not isinstance(d, dict) or not {"base", "inner", "k"} <= set(d):
         raise ValueError("product JSON needs 'base', 'inner' and 'k'")
+    if type(d["k"]) is not int:
+        raise ValueError("'k' must be an integer")
     return lex_product(graph_from_json_dict(d["base"]), d["inner"], d["k"])
 
 

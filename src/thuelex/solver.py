@@ -5,10 +5,12 @@ One engine, ``_search``, serves every mode: it gives each vertex a p-subset
 of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
 plain color c is the mask 1 << c).  Vertices are assigned in a fixed order
 (BFS from vertex 0, or whole layers for rainbow searches), so the colored set
-is always a prefix of that order.  All even simple paths are enumerated once
-up front and bucketed by the last vertex of the path in assignment order:
-when a vertex is (re)assigned, exactly the paths completed by it need
-rechecking, each as a flat list of positions whose masks must not all meet.
+is always a prefix of that order.  All even simple paths are enumerated up
+front, once per public call, and bucketed by the last vertex of the path in
+assignment order; an optimum search shares these constraints across every
+palette size it tries.  When a vertex is (re)assigned, exactly the paths
+completed by it need rechecking, each as a flat list of positions whose masks
+must not all meet.
 Value symmetry is broken by allowing fresh colors only as the block right
 above the largest color used; ascending-q optimum searches make the dominant
 infeasibility proofs as small as possible.
@@ -31,7 +33,9 @@ STATUS_TIMEOUT = "timeout"
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Budgets for one solver invocation (nodes = color assignments tried)."""
+    """Budgets for one solver invocation.  Nodes count both the color
+    assignments tried and the path extensions made while enumerating the
+    constraints (one node per vertex added to a path)."""
 
     max_nodes: int = DEFAULT_NODE_BUDGET
     time_budget: float = float("inf")
@@ -84,6 +88,8 @@ class _Budget:
 def bfs_order(g: Graph, start: int = 0) -> list[int]:
     """BFS order from ``start``; restarts at the smallest unvisited vertex."""
     order: list[int] = []
+    if g.n == 0:
+        return order
     seen = bytearray(g.n)
     for root in [start] + list(range(g.n)):
         if seen[root]:
@@ -103,56 +109,67 @@ def bfs_order(g: Graph, start: int = 0) -> list[int]:
 
 
 def _path_buckets(
-    g: Graph, order: list[int], max_vertices: int, budget: "_Budget | None" = None
-) -> list[list[tuple]] | None:
-    """All even simple paths up to max_vertices, as flat (a0,b0,a1,b1,...)
-    agreement-pair tuples, bucketed by the rank at which they complete.
+    g: Graph,
+    budget: _Budget,
+    order: list[int] | None = None,
+    max_vertices: int | None = None,
+) -> tuple[list[int], list[list[tuple]]] | None:
+    """The assignment order (BFS unless given) and, for it, all even simple
+    paths of at most max_vertices vertices (default: all) as flat
+    (a0,b0,a1,b1,...) agreement-pair tuples, bucketed by the rank at which
+    they complete.  Built once per public call and shared by every palette
+    size.
 
     The enumeration itself is charged against the budget (one unit per path
     extension) so oversized inputs time out instead of hanging; returns None
     when the budget runs out."""
+    if order is None:
+        order = bfs_order(g)
     rank = [0] * g.n
     for r, v in enumerate(order):
         rank[v] = r
     buckets: list[list[tuple]] = [[] for _ in range(g.n)]
-    limit = min(max_vertices, g.n)
+    limit = min(max_vertices or g.n, g.n)
     adj = g.adj
     in_path = bytearray(g.n)
-    path: list[int] = []
-
-    def emit():
-        m = len(path)
-        l = m // 2
-        pairs = []
-        for i in range(l):
-            pairs.append(path[i])
-            pairs.append(path[i + l])
-        buckets[max(rank[v] for v in path)].append(tuple(pairs))
-
-    def extend(v: int) -> bool:
-        if budget is not None and not budget.charge(1):
-            return False
-        path.append(v)
-        in_path[v] = 1
-        m = len(path)
-        if m % 2 == 0 and path[0] < path[-1]:
-            emit()
-        alive = True
-        if m < limit:
-            for u in adj[v]:
-                if not in_path[u] and not extend(u):
-                    alive = False
-                    break
-        path.pop()
-        in_path[v] = 0
-        return alive
-
     for start in range(g.n):
-        if not extend(start):
+        if not budget.charge(1):
             return None
+        path = [start]
+        top = [rank[start]]  # top[d]: largest rank among path[0..d]
+        in_path[start] = 1
+        stack = [iter(adj[start] if limit > 1 else ())]
+        while stack:
+            for u in stack[-1]:
+                if not in_path[u]:
+                    break
+            else:
+                stack.pop()
+                in_path[path.pop()] = 0
+                top.pop()
+                continue
+            if not budget.charge(1):
+                return None
+            path.append(u)
+            t = top[-1]
+            if rank[u] > t:
+                t = rank[u]
+            m = len(path)
+            if m % 2 == 0 and start < u:
+                l = m // 2
+                pairs = [0] * m
+                pairs[0::2] = path[:l]
+                pairs[1::2] = path[l:]
+                buckets[t].append(tuple(pairs))
+            if m < limit:
+                top.append(t)
+                in_path[u] = 1
+                stack.append(iter(adj[u]))
+            else:
+                path.pop()
     for lst in buckets:
-        lst.sort(key=lambda pr: (len(pr), pr))
-    return buckets
+        lst.sort(key=len)
+    return order, buckets
 
 
 def _tuple_candidates(maxused: int, p: int, q: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -179,15 +196,15 @@ def _search(
     p: int,
     q: int,
     budget: _Budget,
+    constraints: tuple[list[int], list[list[tuple]]],
     *,
     symmetry_breaking: bool = True,
-    max_path_vertices: int | None = None,
     layer_size: int = 0,
-    order: list[int] | None = None,
 ) -> tuple[str, bool, list[tuple[int, ...]] | None]:
     """The one assignment engine: gives every vertex a p-subset of 0..q-1
     (p = 1 for plain and rainbow colorings), returned per vertex.
 
+    ``constraints`` is the (order, buckets) pair from ``_path_buckets``.
     Candidates at rank r are ``_tuple_candidates(maxused[r], p, q)``, or
     every p-subset when symmetry breaking is off.  layer_size > 0 adds the
     rainbow constraint (vertices v//layer_size share a layer and must take
@@ -195,11 +212,7 @@ def _search(
     n = g.n
     if n == 0:
         return STATUS_EXACT, True, []
-    if order is None:
-        order = bfs_order(g)
-    buckets = _path_buckets(g, order, max_path_vertices or n, budget)
-    if buckets is None:
-        return STATUS_TIMEOUT, False, None
+    order, buckets = constraints
     cand_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     masks = [0] * n
     placed: list[tuple[int, tuple[int, ...]]] = [(0, ())] * n
@@ -255,6 +268,22 @@ def _search(
             masks[order[r]] = 0
 
 
+def _search_once(
+    g: Graph,
+    p: int,
+    q: int,
+    budget: _Budget,
+    order: list[int] | None = None,
+    max_path_vertices: int | None = None,
+    **engine,
+) -> tuple[str, bool, list[tuple[int, ...]] | None]:
+    """A single palette size: build the constraints, then search."""
+    constraints = _path_buckets(g, budget, order, max_path_vertices)
+    if constraints is None:
+        return STATUS_TIMEOUT, False, None
+    return _search(g, p, q, budget, constraints, **engine)
+
+
 def _layer_major_order(pg: ProductGraph) -> list[int]:
     """Assignment order for rainbow searches: base BFS order, whole layers."""
     return [b * pg.k + j for b in bfs_order(pg.base) for j in range(pg.k)]
@@ -269,23 +298,32 @@ def _decide(g: Graph, q: int, limits: SearchLimits | None, **engine) -> SolveRes
     if q < 1:
         raise ValueError("palette size must be positive")
     budget = _Budget(limits or SearchLimits())
-    status, feasible, sets = _search(g, 1, q, budget, **engine)
+    status, feasible, sets = _search_once(g, 1, q, budget, **engine)
     if status == STATUS_TIMEOUT:
         return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
     return SolveResult(STATUS_EXACT, feasible, _coloring(q, sets), budget.spent)
 
 
 def _least_palette(
-    g: Graph, first: int, limits: SearchLimits | None, **engine
+    g: Graph,
+    first: int,
+    limits: SearchLimits | None,
+    order: list[int] | None = None,
+    **engine,
 ) -> SolveResult:
     """Smallest palette size >= first admitting a coloring, by ascending
-    search; exact only when feasibility at q and infeasibility below q both
-    are."""
+    search over one shared set of path constraints; exact only when
+    feasibility at q and infeasibility below q both are."""
     limits = limits or SearchLimits()
     budget = _Budget(limits)
     cap = min(limits.palette_cap, max(g.n, 1))
+    if first > cap:
+        return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, 0)
+    constraints = _path_buckets(g, budget, order)
+    if constraints is None:
+        return SolveResult(STATUS_LOWER_BOUND, first, None, budget.spent)
     for q in range(first, cap + 1):
-        status, feasible, sets = _search(g, 1, q, budget, **engine)
+        status, feasible, sets = _search(g, 1, q, budget, constraints, **engine)
         if status == STATUS_TIMEOUT:
             return SolveResult(STATUS_LOWER_BOUND, q, None, budget.spent)
         if feasible:
@@ -312,7 +350,7 @@ def find_coloring_bounded(
     vertices, or None if none exists.  Raises ResourceLimitError on budget
     exhaustion.  Used by construction fallbacks; not an exactness claim."""
     budget = _Budget(limits or SearchLimits())
-    status, feasible, sets = _search(
+    status, feasible, sets = _search_once(
         g, 1, q, budget, max_path_vertices=max(2, max_path_vertices - max_path_vertices % 2)
     )
     if status == STATUS_TIMEOUT:
@@ -356,7 +394,7 @@ def exists_tuple_coloring(
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
     budget = _Budget(limits or SearchLimits())
-    status, feasible, sets = _search(g, p, q, budget)
+    status, feasible, sets = _search_once(g, p, q, budget)
     if status == STATUS_TIMEOUT:
         return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
     witness = TupleColoring(p, q, tuple(sets)) if feasible else None

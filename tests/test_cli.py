@@ -164,6 +164,30 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "path:3", str(col), "--exact")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "graph, coloring",
+        [
+            ("path:4", {"palette": 3, "colors": ["a", "b", "c", "a"]}),
+            ({"n": 2, "edges": [["x", 1]]}, {"palette": 2, "colors": [0, 1]}),
+            ("path:2", {"p": 1, "q": 2, "sets": [[0], ["x"]]}),
+            ("path:2", {"palette": "2", "colors": [0, 1]}),
+            (
+                {"base": {"n": 2, "edges": [[0, 1]]}, "inner": "empty", "k": "2"},
+                {"palette": 2, "colors": [0, 0, 1, 1]},
+            ),
+        ],
+        ids=["colors", "edge-endpoint", "set-member", "palette", "product-k"],
+    )
+    def test_non_integer_json_exit_2(self, capsys, tmp_path, graph, coloring):
+        if isinstance(graph, dict):
+            (tmp_path / "g.json").write_text(json.dumps(graph))
+            graph = str(tmp_path / "g.json")
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps(coloring))
+        code, out, err = run(capsys, "verify", graph, str(col), "--bound", "4")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_malformed_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -230,6 +254,15 @@ class TestSolve:
         )
         assert code == 3
         assert json.loads(out)["status"] == "lower_bound_only"
+
+    def test_long_path_enumeration_times_out_exit_3(self, capsys):
+        # deeper than Python's recursion limit
+        code, out, _ = run(
+            capsys, "solve", "path:1100", "--mode", "thue", "--max-nodes", "5000"
+        )
+        assert code == 3
+        d = json.loads(out)
+        assert (d["status"], d["value"], d["nodes_explored"]) == ("lower_bound_only", 1, 5001)
 
     def test_missing_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "solve", "cycle:7", "--mode", "tuple")

@@ -176,7 +176,7 @@ PINNED = [
     (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1242),
     (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 62),
     (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 107),
-    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 95),
+    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 45),
     (lambda: exists_coloring(P6E2.view, 5, SearchLimits(max_nodes=1000)), "timeout", None, 1001),
 ]
 
@@ -196,6 +196,37 @@ class TestPinned:
                 assert (t.value, t.nodes_explored) == (c.value, c.nodes_explored), (name, q)
                 if c.value:
                     assert t.witness.sets == tuple((x,) for x in c.witness.colors), (name, q)
+
+
+class TestSharedConstraints:
+    """Optimum searches enumerate the path constraints once and reuse them
+    for every palette size; the answers must be those of a fresh
+    feasibility call at the optimum."""
+
+    PRODUCTS = [
+        (f"P{n}{tag}2", lex_product(build_path(n), inner, 2))
+        for n in range(1, 6)
+        for inner, tag in ((EMPTY, "E"), (COMPLETE, "K"))
+    ]
+    GRAPHS = SMALL + [(name, pg.view) for name, pg in PRODUCTS]
+
+    @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=[name for name, _ in GRAPHS])
+    def test_thue_number_matches_exists_coloring(self, g):
+        r = thue_number(g)
+        d = exists_coloring(g, r.value)
+        assert r.status == d.status == "exact"
+        assert d.value is True and r.witness == d.witness
+
+    @pytest.mark.parametrize("pg", [pg for _, pg in PRODUCTS], ids=[name for name, _ in PRODUCTS])
+    def test_rainbow_thue_number_matches_rainbow_exists(self, pg):
+        r = rainbow_thue_number(pg)
+        d = rainbow_exists_coloring(pg, r.value)
+        assert r.status == d.status == "exact"
+        assert d.value is True and r.witness == d.witness
+
+    def test_small_budget_decides_p10(self):
+        r = thue_number(build_path(10), SearchLimits(max_nodes=300))
+        assert (r.status, r.value) == ("exact", 3)
 
 
 class TestLemma1Star:
