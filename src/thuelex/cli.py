@@ -304,6 +304,8 @@ def _cmd_solve(args) -> int:
 
 def _parse_sequence(arg: str) -> sequences.SymbolSeq:
     """Letters (ABAC...) or a JSON file in the {"sigma", "symbols"} form."""
+    if arg is None:
+        raise ValueError("seq check and seq gaps need a sequence")
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
             return sequences.seq_from_json_dict(json.load(fh))
@@ -361,12 +363,12 @@ def _cmd_seq(args) -> int:
 
         def visit(word: bytes):
             stats["count"] += 1
-            seq = sequences.SymbolSeq(tuple(word), 3)
+            seq = sequences.SymbolSeq(tuple(word), args.sigma)
             if sequences.find_valley(sequences.gap_profile(seq)) is not None:
                 stats["with_valley"] += 1
 
         total = sequences.enumerate_bounded_nonrep(
-            3, args.len, args.maxrep, visit, node_budget=budget
+            args.sigma, args.len, args.maxrep, visit, node_budget=budget
         )
         payload = {
             "count": total,

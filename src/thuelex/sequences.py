@@ -11,9 +11,12 @@ Peaks and gaps: the first and last letters are peaks, an interior letter is a
 peak iff its two neighbors carry equal symbols, and a gap is the number of
 letters strictly between consecutive peaks.
 
-Generators return the lexicographically least witness (backtracking with
-symbol order 0 < 1 < 2 < ...), so every test is deterministic.  Search budgets
-default to 10^8 expansions.
+One backtracking engine yields the square-free words of a given length in
+lexicographic order (symbol order 0 < 1 < 2 < ...), optionally with bounded
+period, palindrome-freeness or banned adjacent pairs.  The generators take its
+first word, the lexicographically least witness, and the bounded sweep takes
+all of them, so every result is deterministic.  Search budgets default to 10^8
+expansions.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ def seq_to_json_dict(seq: SymbolSeq) -> dict:
 def seq_from_json_dict(d: dict) -> SymbolSeq:
     if not isinstance(d, dict) or "sigma" not in d or "symbols" not in d:
         raise ValueError("sequence JSON needs 'sigma' and 'symbols'")
-    return SymbolSeq(tuple(d["symbols"]), d["sigma"])
+    symbols = d["symbols"]
+    if type(d["sigma"]) is not int:
+        raise ValueError("'sigma' must be an integer")
+    if not isinstance(symbols, list) or not all(type(x) is int for x in symbols):
+        raise ValueError("'symbols' must be a list of integers")
+    return SymbolSeq(tuple(symbols), d["sigma"])
 
 
 @dataclass(frozen=True)
@@ -147,16 +155,20 @@ def is_palindrome_free(seq: SymbolSeq) -> bool:
     return all(xs[i] != xs[i + 2] for i in range(len(xs) - 2))
 
 
-def _backtrack_least(
+def _square_free_words(
     sigma: int,
     length: int,
     *,
-    palindrome_free: bool,
+    max_period: int | None = None,
+    palindrome_free: bool = False,
     banned_adjacent: frozenset[tuple[int, int]] = frozenset(),
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> bytearray | None:
-    """Lexicographically least square-free word under the extra constraints,
-    or None if the search space is exhausted.
+    node_budget: float = DEFAULT_NODE_BUDGET,
+):
+    """Yield every word with no square of period <= max_period (default: any
+    period) under the extra constraints, in lexicographic order.
+
+    Each word is the live buffer: copy it before resuming the generator.
+    Every candidate symbol costs one node of ``node_budget``.
 
     Incremental check: after placing position p, only squares ending at p can
     be new.  Candidate periods l >= 2 are read off the occurrence list of the
@@ -164,7 +176,9 @@ def _backtrack_least(
     one probe and a memcmp of the remaining overlap.
     """
     if length == 0:
-        return bytearray()
+        yield bytearray()
+        return
+    max_l = length if max_period is None else max_period
     buf = bytearray(length)
     view = memoryview(buf)
     occ: list[list[int]] = [[] for _ in range(sigma)]
@@ -173,6 +187,7 @@ def _backtrack_least(
     nodes = 0
     while True:
         placed = False
+        lo = pos - min((pos + 1) // 2, max_l)  # least i with period pos-i allowed
         for x in range(start_from[pos], sigma):
             nodes += 1
             if nodes > node_budget:
@@ -186,7 +201,6 @@ def _backtrack_least(
             if pos >= 1 and (buf[pos - 1], x) in banned_adjacent:
                 continue
             ok = True
-            lo = pos - (pos + 1) // 2  # least i with period pos-i still fitting
             for i in reversed(occ[x]):
                 if i < lo:
                     break
@@ -208,15 +222,16 @@ def _backtrack_least(
             break
         if placed:
             pos += 1
-            if pos == length:
-                return buf
-            start_from[pos] = 0
-        else:
-            # exhausted this position: undo the previous placement
-            pos -= 1
-            if pos < 0:
-                return None
-            occ[buf[pos]].pop()
+            if pos < length:
+                start_from[pos] = 0
+                continue
+            yield buf
+        # a word was yielded or this position is exhausted: undo the previous
+        # placement and resume after it
+        pos -= 1
+        if pos < 0:
+            return
+        occ[buf[pos]].pop()
 
 
 def gen_nonrepetitive(
@@ -236,9 +251,10 @@ def gen_nonrepetitive(
         raise ValueError("alphabet size must be positive")
     if sigma > 256:
         raise ValueError("alphabet size limited to 256")
-    buf = _backtrack_least(
+    words = _square_free_words(
         sigma, length, palindrome_free=require_palindrome_free, node_budget=node_budget
     )
+    buf = next(words, None)
     if buf is None:
         kind = "palindrome-free nonrepetitive" if require_palindrome_free else "nonrepetitive"
         raise NoSuchSequenceError(
@@ -254,13 +270,14 @@ def search_constrained(
     never puts C and D next to each other; None if no such word exists."""
     if length < 1:
         raise ValueError("length must be positive")
-    buf = _backtrack_least(
+    words = _square_free_words(
         4,
         length,
         palindrome_free=True,
         banned_adjacent=frozenset({(2, 3), (3, 2)}),
         node_budget=node_budget,
     )
+    buf = next(words, None)
     return None if buf is None else SymbolSeq(tuple(buf), 4)
 
 
@@ -339,8 +356,10 @@ def enumerate_bounded_nonrep(
     """Visit every length-``length`` word over ``sigma`` symbols with no
     repetition of (total block) length <= max_rep_len; returns how many.
 
-    The visitor, if given, receives each word as a bytes object.  DFS with
-    prefix pruning: a prefix dies as soon as it ends in a short square.
+    The visitor, if given, receives each word as a bytes object, in
+    lexicographic order.  The budget refuses a run whose projected size, the
+    number of words without equal neighbours, exceeds it; the search itself is
+    uncharged, as its node count can exceed that by up to sigma/(sigma-2).
     """
     if length < 0 or length > 24:
         raise ValueError("enumeration length capped at 24")
@@ -351,35 +370,11 @@ def enumerate_bounded_nonrep(
         raise ResourceLimitError(
             f"projected {projected} nodes exceeds budget {node_budget}"
         )
-    if length == 0:
-        if visitor is not None:
-            visitor(b"")
-        return 1
-    max_l = max_rep_len // 2
-    buf = bytearray(length)
     count = 0
-    stack = [0]  # next symbol to try at position len(stack)-1
-    while stack:
-        pos = len(stack) - 1
-        x = stack[-1]
-        if x >= sigma:
-            stack.pop()
-            continue
-        stack[-1] = x + 1
-        buf[pos] = x
-        ok = True
-        for l in range(1, max_l + 1):
-            if pos - 2 * l + 1 < 0:
-                break
-            if all(buf[pos - 2 * l + 1 + j] == buf[pos - l + 1 + j] for j in range(l)):
-                ok = False
-                break
-        if not ok:
-            continue
-        if pos + 1 == length:
-            count += 1
-            if visitor is not None:
-                visitor(bytes(buf))
-        else:
-            stack.append(0)
+    for word in _square_free_words(
+        sigma, length, max_period=max_rep_len // 2, node_budget=float("inf")
+    ):
+        count += 1
+        if visitor is not None:
+            visitor(bytes(word))
     return count

@@ -1,5 +1,5 @@
 """Exact Thue, rainbow-Thue and tuple-coloring feasibility on small instances
-by branch and bound, plus the independent brute-force oracle used in tests.
+by branch and bound.
 
 One engine, ``_search``, serves every mode: it gives each vertex a p-subset
 of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
@@ -399,36 +399,3 @@ def exists_tuple_coloring(
         return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
     witness = TupleColoring(p, q, tuple(sets)) if feasible else None
     return SolveResult(STATUS_EXACT, feasible, witness, budget.spent)
-
-
-def brute_oracle(g: Graph, coloring: Coloring) -> bool:
-    """True iff some simple path of even order is repetitively colored,
-    by literal enumeration of every simple path (no pruning).  Test oracle;
-    capped at 12 vertices."""
-    if g.n > 12:
-        raise ValueError("brute oracle capped at 12 vertices")
-    if len(coloring.colors) != g.n:
-        raise ValueError("coloring does not cover the graph")
-    colors = coloring.colors
-    adj = g.adj
-    in_path = bytearray(g.n)
-    path: list[int] = []
-
-    def extend(v: int) -> bool:
-        path.append(v)
-        in_path[v] = 1
-        m = len(path)
-        hit = False
-        if m % 2 == 0:
-            l = m // 2
-            hit = all(colors[path[i]] == colors[path[i + l]] for i in range(l))
-        if not hit and m < g.n:
-            for u in adj[v]:
-                if not in_path[u] and extend(u):
-                    hit = True
-                    break
-        path.pop()
-        in_path[v] = 0
-        return hit
-
-    return any(extend(start) for start in range(g.n))

@@ -308,6 +308,35 @@ class TestSeq:
         assert code == 0
         assert json.loads(out)["count"] == 18
 
+    def test_enumerate_sigma(self, capsys):
+        code, out, _ = run(capsys, "seq", "enumerate", "--len", "5", "--sigma", "4")
+        assert code == 0
+        assert json.loads(out)["count"] == 264
+
+    @pytest.mark.parametrize("action", ["check", "gaps"])
+    def test_missing_sequence_exit_2(self, capsys, action):
+        code, out, err = run(capsys, "seq", action)
+        assert code == 2
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sigma": 3, "symbols": ["a", 1]},
+            {"sigma": "3", "symbols": [0, 1]},
+            {"sigma": 3, "symbols": [True, 0]},
+            {"sigma": 3, "symbols": "AB"},
+        ],
+        ids=["string-symbol", "string-sigma", "bool-symbol", "symbols-not-list"],
+    )
+    def test_non_integer_json_exit_2(self, capsys, tmp_path, doc):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        for action in ("check", "gaps"):
+            code, out, err = run(capsys, "seq", action, str(f))
+            assert code == 2
+            assert out == "" and "error" in err
+
     def test_kozik(self, capsys):
         code, out, _ = run(capsys, "seq", "kozik", "--len", "30")
         assert code == 0

@@ -177,12 +177,19 @@ class TestValleys:
 class TestEnumerate:
     @pytest.mark.parametrize("length", [1, 2, 4, 6, 8])
     def test_counts_match_brute(self, length):
-        brute = sum(
-            1
-            for w in product(range(3), repeat=length)
-            if naive_find_repetition(w, max_period=3) is None
-        )
-        assert enumerate_bounded_nonrep(3, length, 6) == brute
+        """The visitor sees exactly the brute-force words, in lexicographic
+        order, for every alphabet and repetition bound."""
+        for sigma in (2, 3, 4):
+            for maxrep in (2, 4, 6):
+                brute = [
+                    bytes(w)
+                    for w in product(range(sigma), repeat=length)
+                    if naive_find_repetition(w, max_period=maxrep // 2) is None
+                ]
+                got = []
+                n = enumerate_bounded_nonrep(sigma, length, maxrep, got.append)
+                assert n == len(got)
+                assert got == brute, (sigma, maxrep)
 
     def test_known_small_counts(self):
         assert enumerate_bounded_nonrep(3, 1, 6) == 3
@@ -230,6 +237,30 @@ class TestEnumerate:
                 assert block == block[::-1]
 
         enumerate_bounded_nonrep(3, 12, 6, visit)
+
+
+class TestNodeBudget:
+    """Every candidate symbol costs one node, so these least budgets are exact."""
+
+    @pytest.mark.parametrize(
+        "search, least",
+        [
+            (lambda b: gen_nonrepetitive(3, 40, node_budget=b), 82),
+            (lambda b: gen_nonrepetitive(4, 100, True, node_budget=b), 240),
+            (lambda b: search_constrained(60, node_budget=b), 206),
+        ],
+        ids=["ternary-40", "palindrome-free-100", "constrained-60"],
+    )
+    def test_least_budget(self, search, least):
+        with pytest.raises(ResourceLimitError):
+            search(least - 1)
+        assert search(least) is not None
+
+    def test_exhaustion_needs_full_budget(self):
+        with pytest.raises(ResourceLimitError):
+            gen_nonrepetitive(3, 6, True, node_budget=83)
+        with pytest.raises(NoSuchSequenceError):
+            gen_nonrepetitive(3, 6, True, node_budget=84)
 
 
 class TestSearchConstrained:

@@ -6,9 +6,7 @@ from oracles import naive_repetitive_path_exists
 from thuelex import (
     COMPLETE,
     EMPTY,
-    Coloring,
     SearchLimits,
-    brute_oracle,
     build_complete,
     build_cycle,
     build_path,
@@ -39,7 +37,7 @@ class TestExistsColoring:
         assert exists_coloring(g, 2).value is False
         r = exists_coloring(g, 3)
         assert r.value is True
-        assert not brute_oracle(g, r.witness)
+        assert not naive_repetitive_path_exists(g, r.witness.colors)
 
     def test_c7_three_colors_infeasible(self):
         assert exists_coloring(build_cycle(7), 3).value is False
@@ -51,7 +49,7 @@ class TestExistsColoring:
                 if q ** g.n > 300_000:
                     continue
                 brute = any(
-                    not brute_oracle(g, Coloring(q, w))
+                    not naive_repetitive_path_exists(g, w)
                     for w in product(range(q), repeat=g.n)
                 )
                 assert exists_coloring(g, q).value is brute, (name, q)
@@ -250,30 +248,4 @@ class TestLemma1Star:
         star = build_rooted_tree(3, 0, 1)[0]
         pg = lex_product(star, EMPTY, 2)
         colors = (0, 0, 1, 2, 3, 4, 5, 1)  # center layer repeats, 6 colors
-        assert brute_oracle(pg.view, Coloring(6, colors))
-
-
-class TestBruteOracle:
-    def test_examples(self):
-        g = build_path(4)
-        assert brute_oracle(g, Coloring(2, (0, 1, 0, 1)))
-        assert not brute_oracle(g, Coloring(3, (0, 1, 2, 0)))
-
-    def test_matches_naive_path_scan(self):
-        import random
-
-        rng = random.Random(3)
-        g = lex_product(build_path(3), EMPTY, 2).view
-        for _ in range(50):
-            colors = tuple(rng.randrange(3) for _ in range(6))
-            assert brute_oracle(g, Coloring(3, colors)) == naive_repetitive_path_exists(
-                g, colors
-            )
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            brute_oracle(build_path(13), Coloring(2, (0, 1) * 6 + (0,)))
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            brute_oracle(build_path(3), Coloring(2, (0, 1)))
+        assert naive_repetitive_path_exists(pg.view, colors)
