@@ -348,7 +348,13 @@ def _cmd_seq(args) -> int:
             "valley": valley,
             "pattern": None,
         }
-        if valley is not None and len(set(seq.symbols)) <= 3:
+        # classification is defined for ternary words with no repetition of
+        # length <= 6; every other word keeps "pattern": null
+        if (
+            valley is not None
+            and set(seq.symbols) <= {0, 1, 2}
+            and sequences.find_repetition(seq, max_period=3) is None
+        ):
             ternary = sequences.SymbolSeq(seq.symbols, 3)
             pat = sequences.classify_valley_pattern(ternary, valley)
             payload["pattern"] = {
@@ -363,6 +369,8 @@ def _cmd_seq(args) -> int:
 
         def visit(word: bytes):
             stats["count"] += 1
+            if len(word) < 2:  # no gaps, so no valley
+                return
             seq = sequences.SymbolSeq(tuple(word), args.sigma)
             if sequences.find_valley(sequences.gap_profile(seq)) is not None:
                 stats["with_valley"] += 1

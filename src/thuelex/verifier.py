@@ -5,12 +5,15 @@ Plain and tuple colorings share one repetitive-path search: a plain color c
 is the color set {c}, and positions i and i+l of an even path agree when
 their color sets meet.  Each distinct set gets a label, and ``step[x][L]``
 lists the neighbours of x (ascending) whose set meets the set labelled L.
-The search iterates the half-length l outermost and extends simple paths by
-DFS from each start vertex: the first half walks the adjacency freely, the
-second half walks only ``step[last][label of the vertex l back]``, which
-prunes almost everything.  Each undirected path is reported in one canonical
-orientation (smaller endpoint first); the reversal of a repetition is again
-a repetition, so this loses nothing.
+Half-length 1 is one scan of the edges; longer ones go in rounds lo+1..cap,
+cap = ceil(top / 2^k) for top = bound / 2, so a short repetition needs no
+deep search from the starts before it.  In a round, a DFS from each start in
+turn walks its first halves of up to cap vertices once (O(n cap) at max
+degree 2); at each of l > lo vertices it walks the second halves along only
+``step[last][label of the vertex l back]``, which prunes almost everything.
+A witness of half-length l stops all first halves of l or more vertices, so
+the least l wins, then the least start: the smaller endpoint, as the
+reversal of a repetition is one.
 
 With max_vertices = |V| rounded down to even the check is exact; smaller
 bounds give sound but partial verification and the caller must say so.
@@ -73,33 +76,57 @@ def _find_repetition(g: Graph, sets, max_vertices: int) -> RepetitionWitness | N
             for label in meets[lab[u]]:
                 by_label.setdefault(label, []).append(u)
         step.append(by_label)
-    in_path = bytearray(g.n)
-    for l in range(1, bound // 2 + 1):
-        m = 2 * l
+    for start in range(g.n):  # half-length 1: an edge whose ends' sets meet
+        for u in step[start].get(lab[start], ()):
+            return RepetitionWitness((start, u), (min(sets[start] & sets[u]),))
+    top, best, lo, in_path = bound // 2, None, 1, bytearray(g.n)
+    # one round per cap, the half-lengths lo + 1 .. cap: top / 2^k rounded up
+    for cap in sorted({-(-top >> k) for k in range(top.bit_length())} - {1}):
         for start in range(g.n):
-            path = [start]
             in_path[start] = 1
-            stack = [iter(adj[start] if l > 1 else step[start].get(lab[start], ()))]
+            # l, m: half-length and length of the second halves searched, or 0;
+            # base: the frame of their first vertices
+            path, l, m, base, stack = [start], 0, 0, None, [iter(adj[start])]
             while stack:
                 for u in stack[-1]:
                     if not in_path[u]:
                         break
                 else:
-                    stack.pop()
+                    if stack.pop() is base:  # every second half of path is done
+                        l = m = 0
+                        if len(path) < cap:
+                            stack.append(iter(adj[path[-1]]))
+                            continue
                     in_path[path.pop()] = 0
                     continue
-                path.append(u)
-                d = len(path)
-                if d == m:
-                    if start < u:
-                        half = tuple(
-                            min(sets[path[i]] & sets[path[i + l]]) for i in range(l)
-                        )
-                        return RepetitionWitness(tuple(path), half)
-                    path.pop()
-                    continue
-                in_path[u] = 1
-                stack.append(iter(adj[u] if d < l else step[u].get(lab[path[d - l]], ())))
+                d = len(path) + 1  # vertices once u is added
+                if d < m:
+                    nxt = step[u].get(lab[path[d - l]])
+                elif not l:  # a new first half: search its second halves first
+                    nxt = step[u].get(lab[start]) if d > lo else None
+                    if nxt:  # iter(base) is base: base is the frame pushed below
+                        l, m, base = d, 2 * d, iter(nxt)
+                        nxt = base
+                    elif d < cap:
+                        nxt = adj[u]
+                else:  # a repetition of half-length l
+                    p = (*path, u)
+                    half = tuple(min(sets[p[i]] & sets[p[i + l]]) for i in range(l))
+                    best = RepetitionWitness(p, half)
+                    if l - 1 == lo:
+                        return best
+                    cap = l - 1
+                    for v in path[l - 2 :]:
+                        in_path[v] = 0
+                    del path[l - 2 :], stack[l - 2 :]
+                    nxt = l = m = 0
+                if nxt:
+                    path.append(u)
+                    in_path[u] = 1
+                    stack.append(iter(nxt))
+        if best:
+            return best
+        lo = cap
     return None
 
 

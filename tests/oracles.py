@@ -60,6 +60,24 @@ def naive_repetitive_path_exists(g, colors):
     return False
 
 
+def naive_least_repetitive_path(g, sets, max_vertices):
+    """The least repetitive even path by (len(path), path), among simple paths
+    of at most max_vertices vertices with path[0] < path[-1]; positions i and
+    i+l repeat when their color sets meet.  Returns (path, half_colors), where
+    half_colors[i] is the least color common to positions i and i+l, or None.
+    """
+    best = None
+    for path in all_simple_paths(g):
+        m = len(path)
+        if m % 2 or m > max_vertices or path[0] > path[-1]:
+            continue
+        l = m // 2
+        common = [set(sets[path[i]]) & set(sets[path[i + l]]) for i in range(l)]
+        if all(common) and (best is None or (m, path) < (len(best[0]), best[0])):
+            best = (path, tuple(min(c) for c in common))
+    return best
+
+
 def naive_tuple_repetitive_path_exists(g, sets):
     """Expand every per-position color choice of every even simple path."""
     for path in all_simple_paths(g):

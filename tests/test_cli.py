@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from thuelex import gen_nonrepetitive
 from thuelex.cli import main
 
 
@@ -312,6 +313,33 @@ class TestSeq:
         code, out, _ = run(capsys, "seq", "enumerate", "--len", "5", "--sigma", "4")
         assert code == 0
         assert json.loads(out)["count"] == 264
+
+    @pytest.mark.parametrize("length, count", [(0, 1), (1, 3)])
+    def test_enumerate_words_too_short_for_a_valley(self, capsys, length, count):
+        code, out, _ = run(capsys, "seq", "enumerate", "--len", str(length))
+        assert code == 0
+        d = json.loads(out)
+        assert d["count"] == count and d["with_valley"] == 0
+
+    def test_gaps_short_square_has_no_pattern(self, capsys):
+        code, out, _ = run(capsys, "seq", "gaps", "ABABCBAB")
+        assert code == 0
+        d = json.loads(out)
+        assert d["peaks"] == [1, 2, 3, 5, 7, 8] and d["gaps"] == [0, 0, 1, 1, 0]
+        assert d["valley"] == 0 and d["pattern"] is None
+
+    def test_gaps_symbol_outside_ternary_has_no_pattern(self, capsys, tmp_path):
+        ternary = gen_nonrepetitive(3, 20)
+        code, out, _ = run(capsys, "seq", "gaps", ternary.to_str())
+        assert code == 0
+        want = json.loads(out)
+        assert want["pattern"] is not None
+        f = tmp_path / "s.json"
+        symbols = [(0, 1, 3)[x] for x in ternary.symbols]
+        f.write_text(json.dumps({"sigma": 4, "symbols": symbols}))
+        code, out, _ = run(capsys, "seq", "gaps", str(f))
+        assert code == 0
+        assert json.loads(out) == {**want, "pattern": None}
 
     @pytest.mark.parametrize("action", ["check", "gaps"])
     def test_missing_sequence_exit_2(self, capsys, action):

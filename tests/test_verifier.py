@@ -6,6 +6,8 @@ import pytest
 from oracles import (
     check_tuple_witness,
     check_witness,
+    naive_find_repetition,
+    naive_least_repetitive_path,
     naive_repetitive_path_exists,
     naive_tuple_repetitive_path_exists,
 )
@@ -13,6 +15,7 @@ from thuelex import (
     COMPLETE,
     EMPTY,
     Coloring,
+    Graph,
     ResourceLimitError,
     RepetitionWitness,
     build_cycle,
@@ -23,6 +26,7 @@ from thuelex import (
     color_path_rainbow,
     find_repetitive_path,
     find_tuple_repetitive_path,
+    gen_nonrepetitive,
     is_rainbow,
     is_walk_nonrepetitive,
     lex_product,
@@ -98,6 +102,104 @@ class TestFindRepetitivePath:
                 assert (fast is not None) == naive_repetitive_path_exists(g, colors)
                 if fast is not None:
                     check_witness(g, colors, fast)
+
+
+def _relabelled(rng, n, cycle):
+    """A path or cycle on n vertices whose vertex labels are shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
+    if cycle:
+        edges.append((perm[-1], perm[0]))
+    return Graph.from_edges(n, edges)
+
+
+def _mostly_proper(rng, g, q, size):
+    """Random color sets of 1 to size colors, each avoiding the colors of its
+    earlier neighbours where it can, so that witnesses are longer than one
+    edge."""
+    sets = []
+    for v in range(g.n):
+        used = {c for u in g.adj[v] if u < v for c in sets[u]}
+        free = sorted(set(range(q)) - used) or list(range(q))
+        sets.append(tuple(rng.sample(free, min(rng.randint(1, size), len(free)))))
+    return sets
+
+
+def _as_found(w):
+    return None if w is None else (w.path, w.half_colors)
+
+
+class TestWitnessOrder:
+    """The witness is the least repetitive path by length, then by vertex
+    sequence, with the smaller endpoint first, for every bound."""
+
+    def _graphs(self, rng):
+        for _ in range(80):
+            n = rng.randint(2, 7)
+            p = rng.uniform(0.2, 0.7)
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            yield Graph.from_edges(n, edges)
+        for n in range(2, 16):
+            yield _relabelled(rng, n, cycle=False)
+            if n >= 3:
+                yield _relabelled(rng, n, cycle=True)
+
+    def test_plain_matches_oracle(self):
+        rng = random.Random(17)
+        for g in self._graphs(rng):
+            sets = _mostly_proper(rng, g, rng.randint(2, 4), 1)
+            colors = [c for (c,) in sets]
+            for bound in range(2, g.n + 3, 2):
+                got = find_repetitive_path(g, colors, bound)
+                assert _as_found(got) == naive_least_repetitive_path(g, sets, bound)
+
+    def test_twin_of_a_first_half_vertex(self):
+        # P_10 plus a twin (10) of vertex 4: two repetitions of half-length 5
+        # differ only there, and the one through 4 comes first
+        g = Graph.from_edges(11, [(i, i + 1) for i in range(9)] + [(3, 10), (5, 10)])
+        colors = (0, 1, 0, 2, 3) * 2 + (3,)
+        for bound in range(2, 12, 2):
+            got = find_repetitive_path(g, colors, bound)
+            want = naive_least_repetitive_path(g, [(c,) for c in colors], bound)
+            assert _as_found(got) == want
+        assert find_repetitive_path(g, colors, 10).path == tuple(range(10))
+
+    def test_tuple_matches_oracle(self):
+        rng = random.Random(19)
+        for g in self._graphs(rng):
+            sets = _mostly_proper(rng, g, rng.randint(3, 6), 2)
+            for bound in range(2, g.n + 3, 2):
+                got = find_tuple_repetitive_path(g, sets, bound)
+                assert _as_found(got) == naive_least_repetitive_path(g, sets, bound)
+
+
+class TestLongPaths:
+    """Exact verification of long paths agrees with the word square search."""
+
+    @pytest.mark.parametrize("n", [200, 301])
+    def test_square_free_word_has_no_witness(self, n):
+        word = gen_nonrepetitive(3, n).symbols
+        assert find_repetitive_path(build_path(n), word, n - n % 2) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_square_least_period_then_start(self, seed):
+        rng = random.Random(seed)
+        n = 300
+        word = list(gen_nonrepetitive(3, n).symbols)
+        l = rng.randint(2, 40)
+        s = rng.randrange(n - 2 * l + 1)
+        word[s + l : s + 2 * l] = word[s : s + l]
+        # the least period first, then the least start with that period
+        period = next(
+            p for p in range(1, n // 2 + 1) if naive_find_repetition(word, p)
+        )
+        start = naive_find_repetition(word, period)[0] - 1
+        w = find_repetitive_path(build_path(n), word, n)
+        assert w.path == tuple(range(start, start + 2 * period))
+        assert w.half_colors == tuple(word[start : start + period])
 
 
 class TestRainbow:
