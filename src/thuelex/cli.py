@@ -266,7 +266,6 @@ def _cmd_solve(args) -> int:
     limits = solver.SearchLimits(
         max_nodes=args.max_nodes if args.max_nodes is not None else _node_budget(),
         time_budget=args.time_budget if args.time_budget is not None else float("inf"),
-        palette_cap=args.palette_cap,
     )
     started = time.monotonic()
     if args.mode == "thue":
@@ -340,7 +339,10 @@ def _cmd_seq(args) -> int:
         return EXIT_OK
     if args.action == "gaps":
         seq = _parse_sequence(args.sequence)
-        profile = sequences.gap_profile(seq)
+        if len(seq) < 2:  # the one letter, if any, is the first and last peak
+            profile = sequences.GapProfile(tuple(range(1, len(seq) + 1)), ())
+        else:
+            profile = sequences.gap_profile(seq)
         valley = sequences.find_valley(profile)
         payload = {
             "peaks": list(profile.peaks),
@@ -450,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, default=2)
     p_solve.add_argument("--max-nodes", type=int)
     p_solve.add_argument("--time-budget", type=float)
-    p_solve.add_argument("--palette-cap", type=int, default=64)
     p_solve.add_argument("--output")
 
     p_seq = sub.add_parser("seq", help="sequence generation and analysis")

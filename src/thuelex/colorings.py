@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
 from .graphs import COMPLETE, Graph, ProductGraph, RootedTreeMeta, lex_product
 from .sequences import gen_nonrepetitive
 from .verifier import find_repetitive_path
@@ -175,14 +174,14 @@ def color_tree_complete(
     k: int,
     *,
     path_bound: int = 12,
-    limits=None,
 ) -> Coloring:
     """4k-coloring of T[K_k]: the vertex at level l with clique index j gets
     color (d_l, j), d the driving word over four symbols.
 
     The attempt is checked against paths of at most ``path_bound`` vertices;
-    if a repetition is found, a bounded branch-and-bound search replaces it.
-    The returned coloring always passed the configured check."""
+    if a repetition is found, a bounded branch-and-bound search replaces it
+    (raising ResourceLimitError if it runs out of its default budget).  The
+    returned coloring always passed the configured check."""
     if k < 1:
         raise ValueError("need k >= 1")
     if tree.m != tree.n - 1:
@@ -202,14 +201,7 @@ def color_tree_complete(
     if bound >= 2 and find_repetitive_path(pg.view, colors, bound) is not None:
         from . import solver  # deferred: solver depends on this module's types
 
-        lim = limits if limits is not None else solver.SearchLimits()
-        try:
-            found = solver.find_coloring_bounded(pg.view, 4 * k, bound, lim)
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"fallback search for a {4 * k}-coloring ran out of budget",
-                partial=Coloring(4 * k, colors),
-            ) from exc
+        found = solver.find_coloring_bounded(pg.view, 4 * k, bound)
         if found is None:
             raise RuntimeError(
                 f"no {4 * k}-coloring survives the bound-{bound} check; "

@@ -1,8 +1,10 @@
-"""Exception types and the default search budget shared across the package.
+"""Exception types and the one search budget type shared across the package.
 
 Invalid arguments raise the stdlib ValueError everywhere; only outcomes that
 callers are expected to branch on get their own class.
 """
+
+import time
 
 # Default node budget of every search: solver assignments, sequence
 # expansions and projected walk counts alike.
@@ -15,11 +17,25 @@ class NoSuchSequenceError(Exception):
 
 
 class ResourceLimitError(Exception):
-    """A search exceeded its node or time budget before reaching a decision.
+    """A search exceeded its node or time budget before reaching a decision."""
 
-    May carry a partial result in ``partial`` (e.g. the failed coloring
-    attempt of a fallback search)."""
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+class Budget:
+    """A node limit and an optional deadline, ``time_budget`` seconds from
+    now, that a search charges as it goes.  ``spent`` counts every node
+    charged, including the one that ran out."""
+
+    __slots__ = ("max_nodes", "deadline", "spent")
+
+    def __init__(self, max_nodes: float = DEFAULT_NODE_BUDGET, time_budget: float = float("inf")):
+        self.max_nodes = max_nodes
+        self.deadline = None if time_budget == float("inf") else time.monotonic() + time_budget
+        self.spent = 0
+
+    def charge(self, n: int = 1) -> None:
+        """Account for n nodes; raise ResourceLimitError once the budget is gone."""
+        self.spent += n
+        if self.spent > self.max_nodes:
+            raise ResourceLimitError(f"search exceeded its budget of {self.max_nodes} nodes")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimitError("search exceeded its time budget")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_NODE_BUDGET, NoSuchSequenceError, ResourceLimitError
+from .errors import DEFAULT_NODE_BUDGET, Budget, NoSuchSequenceError, ResourceLimitError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -162,13 +162,13 @@ def _square_free_words(
     max_period: int | None = None,
     palindrome_free: bool = False,
     banned_adjacent: frozenset[tuple[int, int]] = frozenset(),
-    node_budget: float = DEFAULT_NODE_BUDGET,
+    budget: Budget,
 ):
     """Yield every word with no square of period <= max_period (default: any
     period) under the extra constraints, in lexicographic order.
 
     Each word is the live buffer: copy it before resuming the generator.
-    Every candidate symbol costs one node of ``node_budget``.
+    Every candidate symbol is charged as one node to ``budget``.
 
     Incremental check: after placing position p, only squares ending at p can
     be new.  Candidate periods l >= 2 are read off the occurrence list of the
@@ -184,16 +184,12 @@ def _square_free_words(
     occ: list[list[int]] = [[] for _ in range(sigma)]
     start_from = [0] * length
     pos = 0
-    nodes = 0
+    charge = budget.charge
     while True:
         placed = False
         lo = pos - min((pos + 1) // 2, max_l)  # least i with period pos-i allowed
         for x in range(start_from[pos], sigma):
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceLimitError(
-                    f"sequence search exceeded {node_budget} expansions"
-                )
+            charge()
             if pos >= 1 and buf[pos - 1] == x:
                 continue
             if palindrome_free and pos >= 2 and buf[pos - 2] == x:
@@ -252,7 +248,7 @@ def gen_nonrepetitive(
     if sigma > 256:
         raise ValueError("alphabet size limited to 256")
     words = _square_free_words(
-        sigma, length, palindrome_free=require_palindrome_free, node_budget=node_budget
+        sigma, length, palindrome_free=require_palindrome_free, budget=Budget(node_budget)
     )
     buf = next(words, None)
     if buf is None:
@@ -275,7 +271,7 @@ def search_constrained(
         length,
         palindrome_free=True,
         banned_adjacent=frozenset({(2, 3), (3, 2)}),
-        node_budget=node_budget,
+        budget=Budget(node_budget),
     )
     buf = next(words, None)
     return None if buf is None else SymbolSeq(tuple(buf), 4)
@@ -372,7 +368,7 @@ def enumerate_bounded_nonrep(
         )
     count = 0
     for word in _square_free_words(
-        sigma, length, max_period=max_rep_len // 2, node_budget=float("inf")
+        sigma, length, max_period=max_rep_len // 2, budget=Budget(float("inf"))
     ):
         count += 1
         if visitor is not None:

@@ -5,25 +5,25 @@ One engine, ``_search``, serves every mode: it gives each vertex a p-subset
 of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
 plain color c is the mask 1 << c).  Vertices are assigned in a fixed order
 (BFS from vertex 0, or whole layers for rainbow searches), so the colored set
-is always a prefix of that order.  All even simple paths are enumerated up
-front, once per public call, and bucketed by the last vertex of the path in
-assignment order; an optimum search shares these constraints across every
-palette size it tries.  When a vertex is (re)assigned, exactly the paths
-completed by it need rechecking, each as a flat list of positions whose masks
-must not all meet.
+is always a prefix of that order.  All even simple paths, and for rainbow
+searches every pair of vertices in one layer, are enumerated up front, once
+per public call, and bucketed by their last vertex in assignment order; an
+optimum search shares these constraints across every palette size up to n.
+When a vertex is (re)assigned, exactly the constraints completed by it need
+rechecking, each as a flat list of positions whose masks must not all meet.
 Value symmetry is broken by allowing fresh colors only as the block right
 above the largest color used; ascending-q optimum searches make the dominant
-infeasibility proofs as small as possible.
+infeasibility proofs as small as possible.  Budget exhaustion raises
+ResourceLimitError, which ``_solve`` catches once.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from .colorings import Coloring, TupleColoring
-from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
+from .errors import DEFAULT_NODE_BUDGET, Budget, ResourceLimitError
 from .graphs import Graph, ProductGraph
 
 STATUS_EXACT = "exact"
@@ -33,16 +33,17 @@ STATUS_TIMEOUT = "timeout"
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Budgets for one solver invocation.  Nodes count both the color
-    assignments tried and the path extensions made while enumerating the
-    constraints (one node per vertex added to a path)."""
+    """Budgets for one solver invocation, in nodes and in seconds.  Nodes
+    count both the color assignments tried and the path extensions made
+    while enumerating the constraints (one node per vertex added to a path).
+    Running out raises inside the search; the public functions report it as
+    a "timeout" or "lower_bound_only" status."""
 
     max_nodes: int = DEFAULT_NODE_BUDGET
     time_budget: float = float("inf")
-    palette_cap: int = 64
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.time_budget <= 0 or self.palette_cap <= 0:
+        if self.max_nodes <= 0 or self.time_budget <= 0:
             raise ValueError("all limits must be positive")
 
 
@@ -60,29 +61,6 @@ class SolveResult:
     value: int | bool | None
     witness: Coloring | TupleColoring | None
     nodes_explored: int
-
-
-class _Budget:
-    __slots__ = ("remaining", "deadline", "spent")
-
-    def __init__(self, limits: SearchLimits):
-        self.remaining = limits.max_nodes
-        self.deadline = (
-            None
-            if limits.time_budget == float("inf")
-            else time.monotonic() + limits.time_budget
-        )
-        self.spent = 0
-
-    def charge(self, nodes: int) -> bool:
-        """Account for work; False once the budget is gone."""
-        self.spent += nodes
-        self.remaining -= nodes
-        if self.remaining < 0:
-            return False
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return False
-        return True
 
 
 def bfs_order(g: Graph, start: int = 0) -> list[int]:
@@ -110,19 +88,20 @@ def bfs_order(g: Graph, start: int = 0) -> list[int]:
 
 def _path_buckets(
     g: Graph,
-    budget: _Budget,
+    budget: Budget,
     order: list[int] | None = None,
     max_vertices: int | None = None,
-) -> tuple[list[int], list[list[tuple]]] | None:
+    layer_pairs=(),
+) -> tuple[list[int], list[list[tuple]]]:
     """The assignment order (BFS unless given) and, for it, all even simple
     paths of at most max_vertices vertices (default: all) as flat
-    (a0,b0,a1,b1,...) agreement-pair tuples, bucketed by the rank at which
+    (a0,b0,a1,b1,...) agreement-pair tuples, plus the ``layer_pairs`` of
+    vertices that must not share a color, bucketed by the rank at which
     they complete.  Built once per public call and shared by every palette
     size.
 
     The enumeration itself is charged against the budget (one unit per path
-    extension) so oversized inputs time out instead of hanging; returns None
-    when the budget runs out."""
+    extension) so oversized inputs run out of budget instead of hanging."""
     if order is None:
         order = bfs_order(g)
     rank = [0] * g.n
@@ -132,9 +111,9 @@ def _path_buckets(
     limit = min(max_vertices or g.n, g.n)
     adj = g.adj
     in_path = bytearray(g.n)
+    charge = budget.charge
     for start in range(g.n):
-        if not budget.charge(1):
-            return None
+        charge()
         path = [start]
         top = [rank[start]]  # top[d]: largest rank among path[0..d]
         in_path[start] = 1
@@ -148,8 +127,7 @@ def _path_buckets(
                 in_path[path.pop()] = 0
                 top.pop()
                 continue
-            if not budget.charge(1):
-                return None
+            charge()
             path.append(u)
             t = top[-1]
             if rank[u] > t:
@@ -167,6 +145,8 @@ def _path_buckets(
                 stack.append(iter(adj[u]))
             else:
                 path.pop()
+    for u, v in layer_pairs:
+        buckets[max(rank[u], rank[v])].append((u, v))
     for lst in buckets:
         lst.sort(key=len)
     return order, buckets
@@ -192,143 +172,127 @@ def _tuple_candidates(maxused: int, p: int, q: int) -> list[tuple[int, tuple[int
 
 
 def _search(
-    g: Graph,
-    p: int,
-    q: int,
-    budget: _Budget,
-    constraints: tuple[list[int], list[list[tuple]]],
-    *,
-    symmetry_breaking: bool = True,
-    layer_size: int = 0,
-) -> tuple[str, bool, list[tuple[int, ...]] | None]:
+    p: int, q: int, budget: Budget, constraints: tuple, *, symmetry_breaking: bool = True
+) -> list[tuple[int, ...]] | None:
     """The one assignment engine: gives every vertex a p-subset of 0..q-1
-    (p = 1 for plain and rainbow colorings), returned per vertex.
+    (p = 1 for plain and rainbow colorings), returned per vertex, or None
+    when no assignment meets the constraints.
 
     ``constraints`` is the (order, buckets) pair from ``_path_buckets``.
     Candidates at rank r are ``_tuple_candidates(maxused[r], p, q)``, or
-    every p-subset when symmetry breaking is off.  layer_size > 0 adds the
-    rainbow constraint (vertices v//layer_size share a layer and must take
-    disjoint sets); rainbow callers pass a layer-major assignment order."""
-    n = g.n
-    if n == 0:
-        return STATUS_EXACT, True, []
+    every p-subset when symmetry breaking is off.  Each candidate tried costs
+    one node of the budget."""
     order, buckets = constraints
+    n = len(order)
     cand_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     masks = [0] * n
-    placed: list[tuple[int, tuple[int, ...]]] = [(0, ())] * n
-    try_next = [0] * n
+    placed: list[tuple[int, ...]] = [()] * n
+    try_next = [0] * (n + 1)
     maxused = [-1] * (n + 1)
-    layer_mask = [0] * (n // layer_size if layer_size else 0)
+    charge = budget.charge
     r = 0
-    while True:
+    while r < n:
         v = order[r]
         key = maxused[r] if symmetry_breaking else q - 1
         cands = cand_cache.get(key)
         if cands is None:
             cands = cand_cache[key] = _tuple_candidates(key, p, q)
         bucket = buckets[r]
-        lay = v // layer_size if layer_size else -1
         i = try_next[r]
         while i < len(cands):
-            if not budget.charge(1):
-                return STATUS_TIMEOUT, False, None
-            m = cands[i][0]
-            if not (layer_size and layer_mask[lay] & m):
-                masks[v] = m
-                # accept unless some bucketed path has all its pairs meeting
-                for pr in bucket:
-                    j, end = 0, len(pr)
-                    while j < end and masks[pr[j]] & masks[pr[j + 1]]:
-                        j += 2
-                    if j == end:
-                        break
-                else:
+            charge()
+            masks[v] = cands[i][0]
+            # accept unless some bucketed constraint has all its pairs meeting
+            for pr in bucket:
+                j, end = 0, len(pr)
+                while j < end and masks[pr[j]] & masks[pr[j + 1]]:
+                    j += 2
+                if j == end:
                     break
+            else:
+                break
             i += 1
         if i < len(cands):
             try_next[r] = i + 1
-            m, s = placed[r] = cands[i]
-            if layer_size:
-                layer_mask[lay] |= m
+            s = placed[r] = cands[i][1]
             maxused[r + 1] = max(maxused[r], s[-1])
             r += 1
-            if r == n:
-                out: list[tuple[int, ...]] = [()] * n
-                for rr in range(n):
-                    out[order[rr]] = placed[rr][1]
-                return STATUS_EXACT, True, out
             try_next[r] = 0
         else:
             masks[v] = 0
             r -= 1
             if r < 0:
-                return STATUS_EXACT, False, None
-            if layer_size:
-                layer_mask[order[r] // layer_size] &= ~placed[r][0]
+                return None
             masks[order[r]] = 0
+    # back from assignment order to vertex order
+    return [sets for _, sets in sorted(zip(order, placed))]
 
 
-def _search_once(
-    g: Graph,
-    p: int,
-    q: int,
-    budget: _Budget,
-    order: list[int] | None = None,
-    max_path_vertices: int | None = None,
-    **engine,
-) -> tuple[str, bool, list[tuple[int, ...]] | None]:
-    """A single palette size: build the constraints, then search."""
-    constraints = _path_buckets(g, budget, order, max_path_vertices)
-    if constraints is None:
-        return STATUS_TIMEOUT, False, None
-    return _search(g, p, q, budget, constraints, **engine)
+def _rainbow(pg: ProductGraph) -> dict:
+    """Engine options for rainbow searches: whole layers in base BFS order,
+    and every pair of vertices in one layer as a constraint."""
+    layers = [range(b * pg.k, (b + 1) * pg.k) for b in bfs_order(pg.base)]
+    return {
+        "order": [v for layer in layers for v in layer],
+        "layer_pairs": [pair for layer in layers for pair in combinations(layer, 2)],
+    }
 
 
-def _layer_major_order(pg: ProductGraph) -> list[int]:
-    """Assignment order for rainbow searches: base BFS order, whole layers."""
-    return [b * pg.k + j for b in bfs_order(pg.base) for j in range(pg.k)]
+def _solve(
+    g: Graph, p: int, palettes, limits: SearchLimits | None, symmetry_breaking=True, **paths
+) -> tuple[int | None, list[tuple[int, ...]] | None, int]:
+    """What every entry point runs: build the constraints (``paths`` goes to
+    ``_path_buckets``), then search the palette sizes in order, all under one
+    budget.  Returns (q, sets, nodes): the first feasible q and its sets;
+    q = None when every size is infeasible; sets = None with the q being
+    decided when the budget ran out."""
+    limits = limits or SearchLimits()
+    budget = Budget(limits.max_nodes, limits.time_budget)
+    q = palettes[0]
+    try:
+        constraints = _path_buckets(g, budget, **paths)
+        for q in palettes:
+            sets = _search(p, q, budget, constraints, symmetry_breaking=symmetry_breaking)
+            if sets is not None:
+                return q, sets, budget.spent
+    except ResourceLimitError:
+        return q, None, budget.spent
+    return None, None, budget.spent
 
 
-def _coloring(q: int, sets: list[tuple[int, ...]] | None) -> Coloring | None:
-    return None if sets is None else Coloring(q, tuple(c for (c,) in sets))
+def _coloring(q: int, sets: list[tuple[int, ...]]) -> Coloring:
+    return Coloring(q, tuple(c for (c,) in sets))
 
 
-def _decide(g: Graph, q: int, limits: SearchLimits | None, **engine) -> SolveResult:
-    """Plain or rainbow feasibility at palette size q."""
+def _decide(
+    g: Graph, p: int, q: int, limits: SearchLimits | None, witness=_coloring, **engine
+) -> SolveResult:
+    """Feasibility at palette size q; ``witness(q, sets)`` builds the
+    coloring returned with a feasible answer."""
     if q < 1:
         raise ValueError("palette size must be positive")
-    budget = _Budget(limits or SearchLimits())
-    status, feasible, sets = _search_once(g, 1, q, budget, **engine)
-    if status == STATUS_TIMEOUT:
-        return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
-    return SolveResult(STATUS_EXACT, feasible, _coloring(q, sets), budget.spent)
+    got, sets, nodes = _solve(g, p, [q], limits, **engine)
+    if sets is not None:
+        return SolveResult(STATUS_EXACT, True, witness(q, sets), nodes)
+    if got is None:
+        return SolveResult(STATUS_EXACT, False, None, nodes)
+    return SolveResult(STATUS_TIMEOUT, None, None, nodes)
 
 
 def _least_palette(
-    g: Graph,
-    first: int,
-    limits: SearchLimits | None,
-    order: list[int] | None = None,
-    **engine,
+    g: Graph, first: int, limits: SearchLimits | None, **engine
 ) -> SolveResult:
     """Smallest palette size >= first admitting a coloring, by ascending
-    search over one shared set of path constraints; exact only when
-    feasibility at q and infeasibility below q both are."""
-    limits = limits or SearchLimits()
-    budget = _Budget(limits)
-    cap = min(limits.palette_cap, max(g.n, 1))
+    search over one shared set of path constraints up to q = n (distinct
+    colors everywhere always work); exact only when feasibility at q and
+    infeasibility below q both are."""
+    cap = max(g.n, 1)
     if first > cap:
         return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, 0)
-    constraints = _path_buckets(g, budget, order)
-    if constraints is None:
-        return SolveResult(STATUS_LOWER_BOUND, first, None, budget.spent)
-    for q in range(first, cap + 1):
-        status, feasible, sets = _search(g, 1, q, budget, constraints, **engine)
-        if status == STATUS_TIMEOUT:
-            return SolveResult(STATUS_LOWER_BOUND, q, None, budget.spent)
-        if feasible:
-            return SolveResult(STATUS_EXACT, q, _coloring(q, sets), budget.spent)
-    return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, budget.spent)
+    q, sets, nodes = _solve(g, 1, range(first, cap + 1), limits, **engine)
+    if sets is not None:
+        return SolveResult(STATUS_EXACT, q, _coloring(q, sets), nodes)
+    return SolveResult(STATUS_LOWER_BOUND, cap + 1 if q is None else q, None, nodes)
 
 
 def exists_coloring(
@@ -340,7 +304,7 @@ def exists_coloring(
 ) -> SolveResult:
     """Decide whether a nonrepetitive q-coloring of g exists (exact unless
     the budget runs out)."""
-    return _decide(g, q, limits, symmetry_breaking=symmetry_breaking)
+    return _decide(g, 1, q, limits, symmetry_breaking=symmetry_breaking)
 
 
 def find_coloring_bounded(
@@ -349,13 +313,11 @@ def find_coloring_bounded(
     """First q-coloring with no repetitive path of at most max_path_vertices
     vertices, or None if none exists.  Raises ResourceLimitError on budget
     exhaustion.  Used by construction fallbacks; not an exactness claim."""
-    budget = _Budget(limits or SearchLimits())
-    status, feasible, sets = _search_once(
-        g, 1, q, budget, max_path_vertices=max(2, max_path_vertices - max_path_vertices % 2)
-    )
-    if status == STATUS_TIMEOUT:
+    bound = max(2, max_path_vertices - max_path_vertices % 2)
+    got, sets, _ = _solve(g, 1, [q], limits, max_vertices=bound)
+    if got is not None and sets is None:
         raise ResourceLimitError("bounded coloring search ran out of budget")
-    return tuple(c for (c,) in sets) if feasible else None
+    return None if sets is None else _coloring(q, sets).colors
 
 
 def thue_number(g: Graph, limits: SearchLimits | None = None) -> SolveResult:
@@ -372,17 +334,15 @@ def rainbow_exists_coloring(
     Branches over ordered layer tuples (vertex by vertex within the layer,
     which prunes tuple prefixes early); the first layer is canonically
     colored 0..k-1 by the combination of value symmetry breaking and the
-    rainbow constraint."""
-    return _decide(pg.view, q, limits, layer_size=pg.k, order=_layer_major_order(pg))
+    rainbow pair constraints."""
+    return _decide(pg.view, 1, q, limits, **_rainbow(pg))
 
 
 def rainbow_thue_number(
     pg: ProductGraph, limits: SearchLimits | None = None
 ) -> SolveResult:
     """Smallest palette for a rainbow nonrepetitive coloring of the product."""
-    return _least_palette(
-        pg.view, pg.k, limits, layer_size=pg.k, order=_layer_major_order(pg)
-    )
+    return _least_palette(pg.view, pg.k, limits, **_rainbow(pg))
 
 
 def exists_tuple_coloring(
@@ -393,9 +353,4 @@ def exists_tuple_coloring(
     length apart."""
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
-    budget = _Budget(limits or SearchLimits())
-    status, feasible, sets = _search_once(g, p, q, budget)
-    if status == STATUS_TIMEOUT:
-        return SolveResult(STATUS_TIMEOUT, None, None, budget.spent)
-    witness = TupleColoring(p, q, tuple(sets)) if feasible else None
-    return SolveResult(STATUS_EXACT, feasible, witness, budget.spent)
+    return _decide(g, p, q, limits, lambda q, sets: TupleColoring(p, q, tuple(sets)))

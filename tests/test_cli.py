@@ -274,6 +274,11 @@ class TestSolve:
         assert code == 2
         assert "missing graph spec" in err
 
+    def test_palette_cap_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "path:3", "--palette-cap", "3"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("flag", ["--max-nodes", "--time-budget"])
     def test_zero_budget_exit_2(self, capsys, flag):
         code, out, err = run(capsys, "solve", "path:3", flag, "0")
@@ -320,6 +325,13 @@ class TestSeq:
         assert code == 0
         d = json.loads(out)
         assert d["count"] == count and d["with_valley"] == 0
+
+    @pytest.mark.parametrize("word, peaks", [("A", [1]), ("", [])])
+    def test_gaps_word_too_short_for_a_gap(self, capsys, word, peaks):
+        code, out, _ = run(capsys, "seq", "gaps", word)
+        assert code == 0
+        d = json.loads(out)
+        assert d == {"peaks": peaks, "gaps": [], "valley": None, "pattern": None}
 
     def test_gaps_short_square_has_no_pattern(self, capsys):
         code, out, _ = run(capsys, "seq", "gaps", "ABABCBAB")

@@ -20,6 +20,7 @@ from thuelex import (
     rainbow_thue_number,
     thue_number,
 )
+from thuelex.errors import Budget, ResourceLimitError
 
 SMALL = [
     ("P4", build_path(4)),
@@ -176,6 +177,8 @@ PINNED = [
     (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 107),
     (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 45),
     (lambda: exists_coloring(P6E2.view, 5, SearchLimits(max_nodes=1000)), "timeout", None, 1001),
+    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 127662),
+    (lambda: rainbow_exists_coloring(P6E2, 6, SearchLimits(max_nodes=1000)), "timeout", None, 1001),
 ]
 
 
@@ -194,6 +197,26 @@ class TestPinned:
                 assert (t.value, t.nodes_explored) == (c.value, c.nodes_explored), (name, q)
                 if c.value:
                     assert t.witness.sets == tuple((x,) for x in c.witness.colors), (name, q)
+
+
+class TestBudget:
+    def test_spent_counts_the_node_that_ran_out(self):
+        b = Budget(3)
+        b.charge()
+        b.charge(2)
+        with pytest.raises(ResourceLimitError):
+            b.charge()
+        assert b.spent == 4
+
+    def test_expired_deadline_raises(self):
+        b = Budget(10, time_budget=-1.0)
+        with pytest.raises(ResourceLimitError):
+            b.charge()
+        assert b.spent == 1
+
+    def test_time_budget_gives_timeout(self):
+        r = exists_coloring(P6E2.view, 5, SearchLimits(time_budget=1e-9))
+        assert (r.status, r.value, r.witness) == ("timeout", None, None)
 
 
 class TestSharedConstraints:
