@@ -178,36 +178,54 @@ def color_tree_complete(
     """4k-coloring of T[K_k]: the vertex at level l with clique index j gets
     color (d_l, j), d the driving word over four symbols.
 
-    The attempt is checked against paths of at most ``path_bound`` vertices;
-    if a repetition is found, a bounded branch-and-bound search replaces it
-    (raising ResourceLimitError if it runs out of its default budget).  The
-    returned coloring always passed the configured check."""
+    ``meta.level`` must hold the distances from ``meta.root`` (ValueError
+    otherwise).  The coloring is then nonrepetitive, by the level argument of
+    Brešar, Grytczuk, Klavžar, Niwczyk and Peterin for trees.  Suppose the
+    colors of a simple path x_1..x_2l repeat, and let L_i be x_i's level.
+    1. The letter fixes the step.  An in-layer step keeps level and letter;
+       an edge moves one level and, as d has no equal neighbours, changes the
+       letter.  As d has no d_(y-1) = d_(y+1), the next letter fixes the
+       next level.
+    2. Levels repeat.  Both halves read the same letters, so they step in
+       layer at the same positions.  Where one half turns back and the other
+       goes on, the levels either side of the latter get one letter, a
+       palindrome in d; so L_(l+1..2l) is a translate L_i + t or a mirror
+       c - L_i of L_(1..l).  The first half covers a level interval I, and
+       L_(l+1) is within one of L_l.  So t != 0 gives |t| <= |I| and a square
+       of period |t| in d.  A mirror has c/2 within half a level of I: equal
+       neighbours in d (c odd), a palindrome around c/2 (c even, |I| >= 2),
+       or t = 0.  So L_(i+l) = L_i for every i.
+    3. Vertices repeat.  Take i <= l with L_i least; by step 2 no level from
+       x_i to x_(i+l) is below L_i.  So the base walk stays in the subtree of
+       x_i's base vertex, whose only vertex at level L_i is itself, and the
+       equal colors give x_(i+l) = x_i.
+    The ``path_bound`` check stays as a guard: a repetition it finds refutes
+    this proof and raises AssertionError."""
     if k < 1:
         raise ValueError("need k >= 1")
-    if tree.m != tree.n - 1:
-        raise ValueError("input graph is not a tree")
-    if len(meta.level) != tree.n or meta.level[meta.root] != 0:
+    if len(meta.level) != tree.n or not 0 <= meta.root < tree.n:
         raise ValueError("level metadata does not match the tree")
-    for u, v in tree.edges():
-        if abs(meta.level[u] - meta.level[v]) != 1:
-            raise ValueError("adjacent vertices must differ in level by one")
-    d = _driving_word(max(meta.level) + 1)
-    colors = tuple(
-        d[meta.level[v]] * k + j for v in range(tree.n) for j in range(k)
-    )
+    depth = [-1] * tree.n
+    depth[meta.root] = 0
+    queue = [meta.root]
+    for v in queue:
+        for u in tree.adj[v]:
+            if depth[u] < 0:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    if tree.m != tree.n - 1 or len(queue) != tree.n:
+        raise ValueError("input graph is not a tree")
+    if depth != list(meta.level):
+        raise ValueError("levels must be the distances from the root")
+    d = _driving_word(max(depth) + 1)
+    colors = tuple(d[depth[v]] * k + j for v in range(tree.n) for j in range(k))
     pg = lex_product(tree, COMPLETE, k)
     bound = min(path_bound, pg.view.n)
     bound -= bound % 2
-    if bound >= 2 and find_repetitive_path(pg.view, colors, bound) is not None:
-        from . import solver  # deferred: solver depends on this module's types
-
-        found = solver.find_coloring_bounded(pg.view, 4 * k, bound)
-        if found is None:
-            raise RuntimeError(
-                f"no {4 * k}-coloring survives the bound-{bound} check; "
-                "tree input is outside the guaranteed regime"
-            )
-        return Coloring(4 * k, tuple(found))
+    if bound >= 2:
+        witness = find_repetitive_path(pg.view, colors, bound)
+        if witness is not None:
+            raise AssertionError(f"level coloring repeats on path {witness.path}")
     return Coloring(4 * k, colors)
 
 

@@ -103,14 +103,13 @@ class ValleyPattern:
 
 
 def _least_square_start(buf: bytes, period: int) -> int | None:
-    """Least 0-based start of a square with this period, via one xor pass.
+    """Least 0-based start of a square with this period (at most half the
+    length), via one xor pass.
 
     Aligns the sequence with its shift by ``period``; a square is exactly a
     run of ``period`` equal positions, i.e. a run of zero bytes in the xor.
     """
     m = len(buf) - period
-    if m < period:
-        return None
     a = int.from_bytes(buf[:m], "big")
     b = int.from_bytes(buf[period:], "big")
     z = (a ^ b).to_bytes(m, "big")
@@ -201,8 +200,6 @@ def _square_free_words(
                 if i < lo:
                     break
                 l = pos - i
-                if l < 2:
-                    continue
                 # halves are buf[pos-2l+1 .. pos-l] and buf[pos-l+1 .. pos]
                 if buf[pos - 2 * l + 1] != buf[i + 1]:
                     continue

@@ -63,13 +63,11 @@ class SolveResult:
     nodes_explored: int
 
 
-def bfs_order(g: Graph, start: int = 0) -> list[int]:
-    """BFS order from ``start``; restarts at the smallest unvisited vertex."""
+def bfs_order(g: Graph) -> list[int]:
+    """BFS order from vertex 0; restarts at the smallest unvisited vertex."""
     order: list[int] = []
-    if g.n == 0:
-        return order
     seen = bytearray(g.n)
-    for root in [start] + list(range(g.n)):
+    for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = 1
@@ -90,14 +88,12 @@ def _path_buckets(
     g: Graph,
     budget: Budget,
     order: list[int] | None = None,
-    max_vertices: int | None = None,
     layer_pairs=(),
 ) -> tuple[list[int], list[list[tuple]]]:
     """The assignment order (BFS unless given) and, for it, all even simple
-    paths of at most max_vertices vertices (default: all) as flat
-    (a0,b0,a1,b1,...) agreement-pair tuples, plus the ``layer_pairs`` of
-    vertices that must not share a color, bucketed by the rank at which
-    they complete.  Built once per public call and shared by every palette
+    paths as flat (a0,b0,a1,b1,...) agreement-pair tuples, plus the
+    ``layer_pairs`` of vertices that must not share a color, bucketed by the
+    rank at which they complete.  Built once per public call and shared by every palette
     size.
 
     The enumeration itself is charged against the budget (one unit per path
@@ -108,7 +104,6 @@ def _path_buckets(
     for r, v in enumerate(order):
         rank[v] = r
     buckets: list[list[tuple]] = [[] for _ in range(g.n)]
-    limit = min(max_vertices or g.n, g.n)
     adj = g.adj
     in_path = bytearray(g.n)
     charge = budget.charge
@@ -117,7 +112,7 @@ def _path_buckets(
         path = [start]
         top = [rank[start]]  # top[d]: largest rank among path[0..d]
         in_path[start] = 1
-        stack = [iter(adj[start] if limit > 1 else ())]
+        stack = [iter(adj[start])]
         while stack:
             for u in stack[-1]:
                 if not in_path[u]:
@@ -139,12 +134,9 @@ def _path_buckets(
                 pairs[0::2] = path[:l]
                 pairs[1::2] = path[l:]
                 buckets[t].append(tuple(pairs))
-            if m < limit:
-                top.append(t)
-                in_path[u] = 1
-                stack.append(iter(adj[u]))
-            else:
-                path.pop()
+            top.append(t)
+            in_path[u] = 1
+            stack.append(iter(adj[u]))
     for u, v in layer_pairs:
         buckets[max(rank[u], rank[v])].append((u, v))
     for lst in buckets:
@@ -283,12 +275,10 @@ def _least_palette(
     g: Graph, first: int, limits: SearchLimits | None, **engine
 ) -> SolveResult:
     """Smallest palette size >= first admitting a coloring, by ascending
-    search over one shared set of path constraints up to q = n (distinct
-    colors everywhere always work); exact only when feasibility at q and
+    search over one shared set of path constraints up to q = max(n, first)
+    (distinct colors everywhere always work); exact only when feasibility at q and
     infeasibility below q both are."""
-    cap = max(g.n, 1)
-    if first > cap:
-        return SolveResult(STATUS_LOWER_BOUND, cap + 1, None, 0)
+    cap = max(g.n, first)
     q, sets, nodes = _solve(g, 1, range(first, cap + 1), limits, **engine)
     if sets is not None:
         return SolveResult(STATUS_EXACT, q, _coloring(q, sets), nodes)
@@ -305,19 +295,6 @@ def exists_coloring(
     """Decide whether a nonrepetitive q-coloring of g exists (exact unless
     the budget runs out)."""
     return _decide(g, 1, q, limits, symmetry_breaking=symmetry_breaking)
-
-
-def find_coloring_bounded(
-    g: Graph, q: int, max_path_vertices: int, limits: SearchLimits | None = None
-) -> tuple[int, ...] | None:
-    """First q-coloring with no repetitive path of at most max_path_vertices
-    vertices, or None if none exists.  Raises ResourceLimitError on budget
-    exhaustion.  Used by construction fallbacks; not an exactness claim."""
-    bound = max(2, max_path_vertices - max_path_vertices % 2)
-    got, sets, _ = _solve(g, 1, [q], limits, max_vertices=bound)
-    if got is not None and sets is None:
-        raise ResourceLimitError("bounded coloring search ran out of budget")
-    return None if sets is None else _coloring(q, sets).colors
 
 
 def thue_number(g: Graph, limits: SearchLimits | None = None) -> SolveResult:

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from thuelex import gen_nonrepetitive
+from thuelex import (
+    COMPLETE,
+    build_rooted_tree,
+    find_repetitive_path,
+    gen_nonrepetitive,
+    lex_product,
+)
 from thuelex.cli import main
 
 
@@ -83,6 +89,21 @@ class TestColor:
         assert code == 0
         assert json.loads(out)["palette"] == 7
         assert "rainbow=yes" in err
+
+    def test_tree_complete(self, capsys):
+        code, out, err = run(capsys, "color", "tree-complete", "--k", "2", "--leaf-depth", "3")
+        assert code == 0
+        d = json.loads(out)
+        assert d["palette"] == 8
+        assert "palette=8" in err and "rainbow=yes" in err
+        tree, _ = build_rooted_tree(3, 2, 3)
+        pg = lex_product(tree, COMPLETE, 2)
+        assert find_repetitive_path(pg.view, d["colors"], 12) is None
+
+    def test_tree_complete_k0_exit_2(self, capsys):
+        code, out, err = run(capsys, "color", "tree-complete", "--k", "0")
+        assert code == 2
+        assert out == "" and "error" in err
 
     def test_c7_fractional(self, capsys):
         code, out, err = run(capsys, "color", "c7-fractional")

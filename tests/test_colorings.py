@@ -146,6 +146,10 @@ class TestPathComplete:
             assert color_path_complete(n, 2).colors == full.colors[: n * 2]
 
 
+# C_4 plus a disjoint P_4: m = n - 1 edges, but not a tree
+C4_AND_P4 = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7)])
+
+
 class TestTreeComplete:
     def test_t36_k1(self):
         tree, meta = build_rooted_tree(3, 2, 5)
@@ -177,6 +181,57 @@ class TestTreeComplete:
         bad = RootedTreeMeta(0, tuple(0 for _ in meta.level))
         with pytest.raises(ValueError):
             color_tree_complete(tree, bad, 1)
+
+    @pytest.mark.parametrize(
+        "tree,level",
+        [
+            (build_path(3), (0, -1, -2)),
+            (C4_AND_P4, (0, 1, 2, 1, 0, 1, 2, 3)),
+            (build_path(8), (0, 1, 0, 1, 0, 1, 0, 1)),
+            (C4_AND_P4, (0, 1, 2, 1, -1, -1, -1, -1)),
+        ],
+        ids=["negative-levels", "disconnected", "levels-not-distances", "negative-disconnected"],
+    )
+    def test_rejects_levels_that_are_not_distances(self, tree, level):
+        with pytest.raises(ValueError):
+            color_tree_complete(tree, RootedTreeMeta(0, level), 2)
+
+    @pytest.mark.parametrize("k,max_n,count", [(2, 7, 85), (3, 4, 8)])
+    def test_every_small_rooted_tree_is_nonrepetitive(self, k, max_n, count):
+        """Backs the proof in the docstring with an exact check of every
+        rooted tree of at most max_n vertices, up to isomorphism."""
+        trees, of_size = [], {()}
+        for _ in range(max_n):
+            trees += of_size
+            of_size = {g for t in of_size for g in _add_leaf(t)}
+        assert len(trees) == count
+        for t in trees:
+            tree, meta = _rooted_tree_graph(t)
+            col = color_tree_complete(tree, meta, k, path_bound=0)
+            pg = lex_product(tree, COMPLETE, k)
+            exact = pg.view.n - pg.view.n % 2
+            assert find_repetitive_path(pg.view, col.colors, exact) is None, t
+
+
+def _add_leaf(t):
+    """Every rooted tree made by adding a leaf to t, a rooted tree written as
+    the sorted tuple of its children's subtrees."""
+    yield tuple(sorted(t + ((),)))
+    for i, child in enumerate(t):
+        for grown in _add_leaf(child):
+            yield tuple(sorted(t[:i] + (grown,) + t[i + 1 :]))
+
+
+def _rooted_tree_graph(t):
+    edges, level, stack = [], [0], [(0, t)]
+    while stack:
+        v, children = stack.pop()
+        for child in children:
+            w = len(level)
+            edges.append((v, w))
+            level.append(level[v] + 1)
+            stack.append((w, child))
+    return Graph.from_edges(len(level), edges), RootedTreeMeta(0, tuple(level))
 
 
 class TestLayerSets:

@@ -1,0 +1,58 @@
+"""The package's import structure: every module imports at module level
+only, and the imports between its modules form no cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thuelex"
+
+
+def _modules():
+    return {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def _package_imports(tree):
+    """Names a parsed module imports from its own package, which imports
+    itself by relative imports only."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imports_are_at_module_level():
+    for name, tree in _modules().items():
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert id(node) in top, f"{name}.py line {node.lineno} imports below module level"
+
+
+def test_package_imports_are_acyclic():
+    modules = _modules()
+    graph = {name: _package_imports(tree) & modules.keys() for name, tree in modules.items()}
+    done, on_path = set(), []
+
+    def visit(name):
+        if name in on_path:
+            cycle = on_path[on_path.index(name) :] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        on_path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        on_path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    assert graph["cli"] >= {"colorings", "solver", "verifier"}

@@ -6,6 +6,7 @@ from oracles import naive_repetitive_path_exists
 from thuelex import (
     COMPLETE,
     EMPTY,
+    Graph,
     SearchLimits,
     build_complete,
     build_cycle,
@@ -137,6 +138,12 @@ class TestRainbow:
     def test_k1_equals_base_thue_number(self):
         pg = lex_product(build_cycle(5), EMPTY, 1)
         assert rainbow_thue_number(pg).value == thue_number(build_cycle(5)).value
+
+    def test_empty_product_is_exact_at_k(self):
+        pg = lex_product(Graph.from_edges(0, []), EMPTY, 3)
+        assert rainbow_exists_coloring(pg, 3).value is True
+        r = rainbow_thue_number(pg)
+        assert (r.status, r.value, r.witness.colors) == ("exact", 3, ())
 
 
 class TestTuple:
