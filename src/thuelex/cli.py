@@ -15,9 +15,10 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import colorings, graphs, sequences, solver, verifier
-from .errors import DEFAULT_NODE_BUDGET, NoSuchSequenceError, ResourceLimitError
+from .errors import Budget, NoSuchSequenceError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -27,17 +28,33 @@ EXIT_RESOURCE = 3
 ENV_NODE_BUDGET = "THUE_NODE_BUDGET"
 
 
-def _node_budget() -> int:
+def _budget(max_nodes: int | None = None, time_budget: float | None = None) -> Budget:
+    """The budget of one command's search: ``max_nodes`` (``--max-nodes``),
+    else THUE_NODE_BUDGET, else the default; ``time_budget`` seconds from
+    now.  Call it right before the search, so input parsing is not timed."""
+    limits = {}
     raw = os.environ.get(ENV_NODE_BUDGET)
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_NODE_BUDGET} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{ENV_NODE_BUDGET} must be positive")
-    return value
+    if max_nodes is not None:
+        limits["max_nodes"] = max_nodes
+    elif raw is not None:
+        try:
+            limits["max_nodes"] = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_NODE_BUDGET} must be an integer, got {raw!r}") from exc
+    if time_budget is not None:
+        limits["time_budget"] = time_budget
+    if not all(value > 0 for value in limits.values()):  # also refuses nan
+        raise ValueError("node and time budgets must be positive")
+    return Budget(**limits)
+
+
+def _read_json(path: str):
+    """The JSON document in a file; nesting too deep to parse is invalid input."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _emit(payload, output: str | None):
@@ -72,8 +89,7 @@ def _parse_graph_spec(spec: str | None):
         return "graph", graphs.build_rooted_tree(a, b, c)[0]
     if spec == "g0":
         return "graph", graphs.build_outerplanar_g0()[0]
-    with open(spec, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = _read_json(spec)
     if isinstance(d, dict) and "base" in d:
         return "product", graphs.product_from_json_dict(d)
     return "graph", graphs.graph_from_json_dict(d)
@@ -101,8 +117,7 @@ def _load_view(spec: str) -> graphs.Graph:
 def _load_coloring(path: str):
     """Plain or tuple coloring from JSON; returns ('plain', Coloring) or
     ('tuple', TupleColoring)."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = _read_json(path)
     if not isinstance(d, dict):
         raise ValueError("coloring JSON must be an object")
     shift = 1 if d.get("one_based") else 0
@@ -243,7 +258,7 @@ def _cmd_verify(args) -> int:
         if ckind != "plain":
             raise ValueError("--walks applies to plain colorings")
         report["walk_nonrepetitive"] = verifier.is_walk_nonrepetitive(
-            view, col.colors, args.walks, node_budget=_node_budget()
+            view, col.colors, args.walks, budget=_budget()
         )
         if not report["walk_nonrepetitive"]:
             report["verified"] = False
@@ -263,14 +278,9 @@ def _cmd_verify(args) -> int:
 # -- solve --------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    limits = solver.SearchLimits(
-        max_nodes=args.max_nodes if args.max_nodes is not None else _node_budget(),
-        time_budget=args.time_budget if args.time_budget is not None else float("inf"),
-    )
     started = time.monotonic()
     if args.mode == "thue":
-        view = _load_view(args.graph)
-        result = solver.thue_number(view, limits)
+        search = partial(solver.thue_number, _load_view(args.graph))
     elif args.mode == "rainbow":
         if args.base:
             pg = graphs.lex_product(_base_graph(args.base), args.inner, args.k)
@@ -278,12 +288,12 @@ def _cmd_solve(args) -> int:
             kind, pg = _parse_graph_spec(args.graph)
             if kind != "product":
                 raise ValueError("rainbow mode needs a product (file or --base/--inner/--k)")
-        result = solver.rainbow_thue_number(pg, limits)
+        search = partial(solver.rainbow_thue_number, pg)
     else:  # tuple
         if args.p is None or args.q is None:
             raise ValueError("tuple mode needs --p and --q")
-        view = _load_view(args.graph)
-        result = solver.exists_tuple_coloring(view, args.p, args.q, limits)
+        search = partial(solver.exists_tuple_coloring, _load_view(args.graph), args.p, args.q)
+    result = search(_budget(args.max_nodes, args.time_budget))
     elapsed = time.monotonic() - started
     payload = {
         "status": result.status,
@@ -306,16 +316,15 @@ def _parse_sequence(arg: str) -> sequences.SymbolSeq:
     if arg is None:
         raise ValueError("seq check and seq gaps need a sequence")
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return sequences.seq_from_json_dict(json.load(fh))
+        return sequences.seq_from_json_dict(_read_json(arg))
     return sequences.SymbolSeq.from_str(arg)
 
 
 def _cmd_seq(args) -> int:
-    budget = _node_budget()
+    budget = _budget()  # no deadline, so it may be made before parsing
     if args.action == "gen":
         seq = sequences.gen_nonrepetitive(
-            args.sigma, args.len, args.palindrome_free, node_budget=budget
+            args.sigma, args.len, args.palindrome_free, budget=budget
         )
         if args.json:
             _emit(sequences.seq_to_json_dict(seq), args.output)
@@ -378,7 +387,7 @@ def _cmd_seq(args) -> int:
                 stats["with_valley"] += 1
 
         total = sequences.enumerate_bounded_nonrep(
-            args.sigma, args.len, args.maxrep, visit, node_budget=budget
+            args.sigma, args.len, args.maxrep, visit, budget=budget
         )
         payload = {
             "count": total,
@@ -388,7 +397,7 @@ def _cmd_seq(args) -> int:
         _emit(payload, args.output)
         return EXIT_OK
     # kozik
-    seq = sequences.search_constrained(args.len, node_budget=budget)
+    seq = sequences.search_constrained(args.len, budget=budget)
     payload = {"sequence": seq.to_str() if seq else None}
     if seq is not None:
         ok = (

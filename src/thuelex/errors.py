@@ -7,7 +7,7 @@ callers are expected to branch on get their own class.
 import time
 
 # Default node budget of every search: solver assignments, sequence
-# expansions and projected walk counts alike.
+# expansions and the projected sizes of the two sweeps alike.
 DEFAULT_NODE_BUDGET = 100_000_000
 
 
@@ -23,7 +23,8 @@ class ResourceLimitError(Exception):
 class Budget:
     """A node limit and an optional deadline, ``time_budget`` seconds from
     now, that a search charges as it goes.  ``spent`` counts every node
-    charged, including the one that ran out."""
+    charged, including the one that ran out, so one budget can be shared by
+    several searches.  Every search that takes a budget takes this type."""
 
     __slots__ = ("max_nodes", "deadline", "spent")
 

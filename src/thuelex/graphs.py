@@ -234,7 +234,7 @@ def graph_from_json_dict(d: dict) -> Graph:
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise ValueError("graph JSON needs 'n' and 'edges'")
     n = d["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("'n' must be an integer")
     edges = d["edges"]
     if not isinstance(edges, list) or any(

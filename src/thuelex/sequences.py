@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_NODE_BUDGET, Budget, NoSuchSequenceError, ResourceLimitError
+from .errors import Budget, NoSuchSequenceError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -232,7 +232,7 @@ def gen_nonrepetitive(
     length: int,
     require_palindrome_free: bool = False,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | None = None,
 ) -> SymbolSeq:
     """Lexicographically least nonrepetitive word of the given length;
     optionally also palindrome-free.
@@ -245,7 +245,7 @@ def gen_nonrepetitive(
     if sigma > 256:
         raise ValueError("alphabet size limited to 256")
     words = _square_free_words(
-        sigma, length, palindrome_free=require_palindrome_free, budget=Budget(node_budget)
+        sigma, length, palindrome_free=require_palindrome_free, budget=budget or Budget()
     )
     buf = next(words, None)
     if buf is None:
@@ -256,9 +256,7 @@ def gen_nonrepetitive(
     return SymbolSeq(tuple(buf), sigma)
 
 
-def search_constrained(
-    length: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SymbolSeq | None:
+def search_constrained(length: int, *, budget: Budget | None = None) -> SymbolSeq | None:
     """Least word over A, B, C, D that is nonrepetitive, palindrome-free and
     never puts C and D next to each other; None if no such word exists."""
     if length < 1:
@@ -268,7 +266,7 @@ def search_constrained(
         length,
         palindrome_free=True,
         banned_adjacent=frozenset({(2, 3), (3, 2)}),
-        budget=Budget(node_budget),
+        budget=budget or Budget(),
     )
     buf = next(words, None)
     return None if buf is None else SymbolSeq(tuple(buf), 4)
@@ -344,25 +342,23 @@ def enumerate_bounded_nonrep(
     max_rep_len: int = 6,
     visitor=None,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: Budget | None = None,
 ) -> int:
     """Visit every length-``length`` word over ``sigma`` symbols with no
     repetition of (total block) length <= max_rep_len; returns how many.
 
     The visitor, if given, receives each word as a bytes object, in
-    lexicographic order.  The budget refuses a run whose projected size, the
-    number of words without equal neighbours, exceeds it; the search itself is
-    uncharged, as its node count can exceed that by up to sigma/(sigma-2).
+    lexicographic order.  The run's projected size, the number of words
+    without equal neighbours, is charged to the budget up front, so an
+    oversized run is refused at once; the search itself is uncharged, as its
+    node count can exceed that by up to sigma/(sigma-2).
     """
     if length < 0 or length > 24:
         raise ValueError("enumeration length capped at 24")
     if sigma < 1 or max_rep_len < 2:
         raise ValueError("invalid enumeration parameters")
     projected = sigma * max(sigma - 1, 1) ** max(length - 1, 0)
-    if projected > node_budget:
-        raise ResourceLimitError(
-            f"projected {projected} nodes exceeds budget {node_budget}"
-        )
+    (budget or Budget()).charge(projected)
     count = 0
     for word in _square_free_words(
         sigma, length, max_period=max_rep_len // 2, budget=Budget(float("inf"))

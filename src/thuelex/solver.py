@@ -23,28 +23,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .colorings import Coloring, TupleColoring
-from .errors import DEFAULT_NODE_BUDGET, Budget, ResourceLimitError
+from .errors import Budget, ResourceLimitError
 from .graphs import Graph, ProductGraph
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower_bound_only"
 STATUS_TIMEOUT = "timeout"
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    """Budgets for one solver invocation, in nodes and in seconds.  Nodes
-    count both the color assignments tried and the path extensions made
-    while enumerating the constraints (one node per vertex added to a path).
-    Running out raises inside the search; the public functions report it as
-    a "timeout" or "lower_bound_only" status."""
-
-    max_nodes: int = DEFAULT_NODE_BUDGET
-    time_budget: float = float("inf")
-
-    def __post_init__(self):
-        if self.max_nodes <= 0 or self.time_budget <= 0:
-            raise ValueError("all limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,6 +39,9 @@ class SolveResult:
     (int), with a witness for feasible/optimum results.  "lower_bound_only":
     an optimum search proved value >= ``value`` before running out of budget.
     "timeout": a single feasibility decision ran out of budget.
+    ``nodes_explored`` is what this call charged to its budget: the color
+    assignments tried plus the path extensions made while enumerating the
+    constraints (one node per vertex added to a path).
     """
 
     status: str
@@ -231,25 +218,28 @@ def _rainbow(pg: ProductGraph) -> dict:
 
 
 def _solve(
-    g: Graph, p: int, palettes, limits: SearchLimits | None, symmetry_breaking=True, **paths
+    g: Graph, p: int, palettes, budget: Budget | None, symmetry_breaking=True, **paths
 ) -> tuple[int | None, list[tuple[int, ...]] | None, int]:
     """What every entry point runs: build the constraints (``paths`` goes to
-    ``_path_buckets``), then search the palette sizes in order, all under one
-    budget.  Returns (q, sets, nodes): the first feasible q and its sets;
-    q = None when every size is infeasible; sets = None with the q being
-    decided when the budget ran out."""
-    limits = limits or SearchLimits()
-    budget = Budget(limits.max_nodes, limits.time_budget)
-    q = palettes[0]
+    ``_path_buckets``), then search the palette sizes in order, all charged
+    to one budget (a fresh ``Budget()`` for None).  Returns (q, sets, nodes):
+    the first feasible q and its sets; q = None when every size is
+    infeasible; sets = None with the q being decided when the budget ran
+    out; nodes is what this call charged."""
+    budget = budget or Budget()
+    before = budget.spent
+    q, sets = palettes[0], None
     try:
         constraints = _path_buckets(g, budget, **paths)
         for q in palettes:
             sets = _search(p, q, budget, constraints, symmetry_breaking=symmetry_breaking)
             if sets is not None:
-                return q, sets, budget.spent
+                break
+        else:
+            q = None
     except ResourceLimitError:
-        return q, None, budget.spent
-    return None, None, budget.spent
+        pass
+    return q, sets, budget.spent - before
 
 
 def _coloring(q: int, sets: list[tuple[int, ...]]) -> Coloring:
@@ -257,13 +247,13 @@ def _coloring(q: int, sets: list[tuple[int, ...]]) -> Coloring:
 
 
 def _decide(
-    g: Graph, p: int, q: int, limits: SearchLimits | None, witness=_coloring, **engine
+    g: Graph, p: int, q: int, budget: Budget | None, witness=_coloring, **engine
 ) -> SolveResult:
     """Feasibility at palette size q; ``witness(q, sets)`` builds the
     coloring returned with a feasible answer."""
     if q < 1:
         raise ValueError("palette size must be positive")
-    got, sets, nodes = _solve(g, p, [q], limits, **engine)
+    got, sets, nodes = _solve(g, p, [q], budget, **engine)
     if sets is not None:
         return SolveResult(STATUS_EXACT, True, witness(q, sets), nodes)
     if got is None:
@@ -271,15 +261,13 @@ def _decide(
     return SolveResult(STATUS_TIMEOUT, None, None, nodes)
 
 
-def _least_palette(
-    g: Graph, first: int, limits: SearchLimits | None, **engine
-) -> SolveResult:
+def _least_palette(g: Graph, first: int, budget: Budget | None, **engine) -> SolveResult:
     """Smallest palette size >= first admitting a coloring, by ascending
     search over one shared set of path constraints up to q = max(n, first)
     (distinct colors everywhere always work); exact only when feasibility at q and
     infeasibility below q both are."""
     cap = max(g.n, first)
-    q, sets, nodes = _solve(g, 1, range(first, cap + 1), limits, **engine)
+    q, sets, nodes = _solve(g, 1, range(first, cap + 1), budget, **engine)
     if sets is not None:
         return SolveResult(STATUS_EXACT, q, _coloring(q, sets), nodes)
     return SolveResult(STATUS_LOWER_BOUND, cap + 1 if q is None else q, None, nodes)
@@ -288,23 +276,23 @@ def _least_palette(
 def exists_coloring(
     g: Graph,
     q: int,
-    limits: SearchLimits | None = None,
+    budget: Budget | None = None,
     *,
     symmetry_breaking: bool = True,
 ) -> SolveResult:
     """Decide whether a nonrepetitive q-coloring of g exists (exact unless
     the budget runs out)."""
-    return _decide(g, 1, q, limits, symmetry_breaking=symmetry_breaking)
+    return _decide(g, 1, q, budget, symmetry_breaking=symmetry_breaking)
 
 
-def thue_number(g: Graph, limits: SearchLimits | None = None) -> SolveResult:
+def thue_number(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Smallest q admitting a nonrepetitive q-coloring, by ascending search;
     exact only when feasibility at q and infeasibility at q-1 both are."""
-    return _least_palette(g, 1, limits)
+    return _least_palette(g, 1, budget)
 
 
 def rainbow_exists_coloring(
-    pg: ProductGraph, q: int, limits: SearchLimits | None = None
+    pg: ProductGraph, q: int, budget: Budget | None = None
 ) -> SolveResult:
     """Decide existence of a nonrepetitive coloring with every layer rainbow.
 
@@ -312,22 +300,20 @@ def rainbow_exists_coloring(
     which prunes tuple prefixes early); the first layer is canonically
     colored 0..k-1 by the combination of value symmetry breaking and the
     rainbow pair constraints."""
-    return _decide(pg.view, 1, q, limits, **_rainbow(pg))
+    return _decide(pg.view, 1, q, budget, **_rainbow(pg))
 
 
-def rainbow_thue_number(
-    pg: ProductGraph, limits: SearchLimits | None = None
-) -> SolveResult:
+def rainbow_thue_number(pg: ProductGraph, budget: Budget | None = None) -> SolveResult:
     """Smallest palette for a rainbow nonrepetitive coloring of the product."""
-    return _least_palette(pg.view, pg.k, limits, **_rainbow(pg))
+    return _least_palette(pg.view, pg.k, budget, **_rainbow(pg))
 
 
 def exists_tuple_coloring(
-    g: Graph, p: int, q: int, limits: SearchLimits | None = None
+    g: Graph, p: int, q: int, budget: Budget | None = None
 ) -> SolveResult:
     """Decide existence of a p-tuple nonrepetitive q-coloring: no even simple
     path may have intersecting color sets at every pair of positions half a
     length apart."""
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
-    return _decide(g, p, q, limits, lambda q, sets: TupleColoring(p, q, tuple(sets)))
+    return _decide(g, p, q, budget, lambda q, sets: TupleColoring(p, q, tuple(sets)))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_NODE_BUDGET, ResourceLimitError
+from .errors import Budget
 from .graphs import Graph, ProductGraph
 
 
@@ -172,21 +172,19 @@ def _count_walks_up_to(g: Graph, max_vertices: int) -> int:
 
 
 def is_walk_nonrepetitive(
-    g: Graph, colors, max_walk_vertices: int, *, node_budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, colors, max_walk_vertices: int, *, budget: Budget | None = None
 ) -> bool:
     """True iff no non-boring walk of at most the given even vertex count is
     repetitively colored.  A boring walk (second half revisits the first
     vertex-by-vertex) is repetitively colored under every coloring and is
-    exempt by definition."""
+    exempt by definition.  The number of walks up to the bound is charged to
+    the budget up front; the walk search itself is uncharged."""
     colors = tuple(colors)
     _check_coloring_size(g, len(colors))
     if max_walk_vertices < 2 or max_walk_vertices % 2 != 0:
         raise ValueError("walk bound must be even and at least 2")
     projected = _count_walks_up_to(g, max_walk_vertices)
-    if projected > node_budget:
-        raise ResourceLimitError(
-            f"projected {projected} walks exceeds budget {node_budget}"
-        )
+    (budget or Budget()).charge(projected)
     adj = g.adj
     for t in range(1, max_walk_vertices // 2 + 1):
         for start in range(g.n):

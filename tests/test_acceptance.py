@@ -284,11 +284,11 @@ def test_optional_lemma9_rainbow_lower_bound():
     """Optional: pi_R(P_24[E_2]) >= 7, i.e. no rainbow nonrepetitive
     6-coloring of P_24[E_2].  The instance is far beyond desk scale; a budget
     exhaustion reports as a skip, an exact answer is asserted."""
-    from thuelex import SearchLimits, rainbow_exists_coloring
+    from thuelex import Budget, rainbow_exists_coloring
 
     pg = lex_product(build_path(24), EMPTY, 2)
     budget = int(__import__("os").environ.get("THUELEX_LEMMA9_NODES", 10**8))
-    r = rainbow_exists_coloring(pg, 6, SearchLimits(max_nodes=budget))
+    r = rainbow_exists_coloring(pg, 6, Budget(budget))
     if r.status == "timeout":
         pytest.skip(f"not decided within {budget} nodes")
     assert r.status == "exact" and r.value is False

@@ -197,8 +197,9 @@ class TestVerify:
                 {"base": {"n": 2, "edges": [[0, 1]]}, "inner": "empty", "k": "2"},
                 {"palette": 2, "colors": [0, 0, 1, 1]},
             ),
+            ({"n": True, "edges": []}, {"palette": 1, "colors": [0]}),
         ],
-        ids=["colors", "edge-endpoint", "set-member", "palette", "product-k"],
+        ids=["colors", "edge-endpoint", "set-member", "palette", "product-k", "bool-n"],
     )
     def test_non_integer_json_exit_2(self, capsys, tmp_path, graph, coloring):
         if isinstance(graph, dict):
@@ -234,6 +235,26 @@ class TestVerify:
         d = json.loads(out)
         assert d["exact"] is False and d["bound_used"] == 14
         assert "defaulting" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{deep}", "{flat}"),
+        ("verify", "path:1", "{deep}"),
+        ("seq", "check", "{deep}"),
+    ],
+    ids=["graph", "coloring", "sequence"],
+)
+def test_deeply_nested_json_exit_2(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    flat = tmp_path / "c.json"
+    flat.write_text(json.dumps({"palette": 1, "colors": [0]}))
+    argv = [a.format(deep=deep, flat=flat) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 class TestSolve:
@@ -300,9 +321,13 @@ class TestSolve:
             main(["solve", "path:3", "--palette-cap", "3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--max-nodes", "--time-budget"])
-    def test_zero_budget_exit_2(self, capsys, flag):
-        code, out, err = run(capsys, "solve", "path:3", flag, "0")
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-nodes", "0"), ("--time-budget", "0"), ("--time-budget", "nan")],
+        ids=["--max-nodes", "--time-budget", "--time-budget-nan"],
+    )
+    def test_zero_budget_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "solve", "path:3", flag, value)
         assert code == 2
         assert out == "" and "positive" in err
 

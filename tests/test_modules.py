@@ -1,8 +1,12 @@
-"""The package's import structure: every module imports at module level
-only, and the imports between its modules form no cycle."""
+"""The package's structure: every module imports at module level only, the
+imports between its modules form no cycle, and every search takes one
+budget type."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import thuelex
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thuelex"
 
@@ -56,3 +60,14 @@ def test_package_imports_are_acyclic():
     for name in sorted(graph):
         visit(name)
     assert graph["cli"] >= {"colorings", "solver", "verifier"}
+
+
+def test_searches_take_one_budget():
+    """Every search takes its limits as one ``Budget``: no public function
+    has a ``limits`` or ``node_budget`` parameter."""
+    assert "SearchLimits" not in thuelex.__all__
+    for name in thuelex.__all__:
+        obj = getattr(thuelex, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters
+            assert not {"limits", "node_budget"} & params.keys(), name

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_find_repetition, naive_palindrome_free
 from thuelex import (
+    Budget,
     GapProfile,
     NoSuchSequenceError,
     ResourceLimitError,
@@ -103,7 +104,7 @@ class TestGenerate:
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            gen_nonrepetitive(3, 40, node_budget=5)
+            gen_nonrepetitive(3, 40, budget=Budget(5))
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
@@ -208,7 +209,7 @@ class TestEnumerate:
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_bounded_nonrep(3, 20, 6, node_budget=10)
+            enumerate_bounded_nonrep(3, 20, 6, budget=Budget(10))
 
     def test_gap_bounds_property(self):
         """Within a short-repetition-free word, gaps are 1..3 except that the
@@ -245,9 +246,9 @@ class TestNodeBudget:
     @pytest.mark.parametrize(
         "search, least",
         [
-            (lambda b: gen_nonrepetitive(3, 40, node_budget=b), 82),
-            (lambda b: gen_nonrepetitive(4, 100, True, node_budget=b), 240),
-            (lambda b: search_constrained(60, node_budget=b), 206),
+            (lambda b: gen_nonrepetitive(3, 40, budget=Budget(b)), 82),
+            (lambda b: gen_nonrepetitive(4, 100, True, budget=Budget(b)), 240),
+            (lambda b: search_constrained(60, budget=Budget(b)), 206),
         ],
         ids=["ternary-40", "palindrome-free-100", "constrained-60"],
     )
@@ -258,9 +259,9 @@ class TestNodeBudget:
 
     def test_exhaustion_needs_full_budget(self):
         with pytest.raises(ResourceLimitError):
-            gen_nonrepetitive(3, 6, True, node_budget=83)
+            gen_nonrepetitive(3, 6, True, budget=Budget(83))
         with pytest.raises(NoSuchSequenceError):
-            gen_nonrepetitive(3, 6, True, node_budget=84)
+            gen_nonrepetitive(3, 6, True, budget=Budget(84))
 
 
 class TestSearchConstrained:
@@ -287,7 +288,7 @@ class TestSearchConstrained:
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            search_constrained(60, node_budget=3)
+            search_constrained(60, budget=Budget(3))
 
     def test_invalid(self):
         with pytest.raises(ValueError):

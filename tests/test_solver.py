@@ -7,15 +7,16 @@ from thuelex import (
     COMPLETE,
     EMPTY,
     Graph,
-    SearchLimits,
     build_complete,
     build_cycle,
     build_path,
     build_rooted_tree,
+    enumerate_bounded_nonrep,
     exists_coloring,
     exists_tuple_coloring,
     find_repetitive_path,
     find_tuple_repetitive_path,
+    is_walk_nonrepetitive,
     lex_product,
     rainbow_exists_coloring,
     rainbow_thue_number,
@@ -72,7 +73,7 @@ class TestExistsColoring:
 
     def test_timeout(self):
         g = lex_product(build_path(6), EMPTY, 2).view
-        r = exists_coloring(g, 5, SearchLimits(max_nodes=5))
+        r = exists_coloring(g, 5, Budget(5))
         assert r.status == "timeout"
         assert r.nodes_explored >= 5
 
@@ -104,7 +105,7 @@ class TestThueNumber:
 
     def test_budget_gives_lower_bound(self):
         g = lex_product(build_path(6), EMPTY, 2).view
-        r = thue_number(g, SearchLimits(max_nodes=50))
+        r = thue_number(g, Budget(50))
         assert r.status == "lower_bound_only"
         assert r.value >= 1 and r.witness is None
 
@@ -167,7 +168,7 @@ class TestTuple:
 
     def test_timeout(self):
         g = build_cycle(7)
-        r = exists_tuple_coloring(g, 2, 7, SearchLimits(max_nodes=3))
+        r = exists_tuple_coloring(g, 2, 7, Budget(3))
         assert r.status == "timeout"
 
 
@@ -183,9 +184,9 @@ PINNED = [
     (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 62),
     (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 107),
     (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 45),
-    (lambda: exists_coloring(P6E2.view, 5, SearchLimits(max_nodes=1000)), "timeout", None, 1001),
+    (lambda: exists_coloring(P6E2.view, 5, Budget(1000)), "timeout", None, 1001),
     (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 127662),
-    (lambda: rainbow_exists_coloring(P6E2, 6, SearchLimits(max_nodes=1000)), "timeout", None, 1001),
+    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(1000)), "timeout", None, 1001),
 ]
 
 
@@ -222,8 +223,30 @@ class TestBudget:
         assert b.spent == 1
 
     def test_time_budget_gives_timeout(self):
-        r = exists_coloring(P6E2.view, 5, SearchLimits(time_budget=1e-9))
+        r = exists_coloring(P6E2.view, 5, Budget(time_budget=1e-9))
         assert (r.status, r.value, r.witness) == ("timeout", None, None)
+
+    def test_shared_budget(self):
+        """Each call reports the nodes it charged; the third runs out."""
+        b = Budget(300)
+        got = [thue_number(build_path(10), b) for _ in range(3)]
+        assert [(r.status, r.value, r.nodes_explored) for r in got] == [
+            ("exact", 3, 131),
+            ("exact", 3, 131),
+            ("lower_bound_only", 1, 39),
+        ]
+        assert b.spent == 301
+
+    def test_refused_sweeps_charge_their_projection(self):
+        b = Budget(10)
+        with pytest.raises(ResourceLimitError):
+            enumerate_bounded_nonrep(3, 20, 6, budget=b)
+        assert b.spent == 1_572_864  # 3 * 2**19 words without equal neighbours
+        b = Budget(100)
+        g = lex_product(build_path(6), COMPLETE, 2).view
+        with pytest.raises(ResourceLimitError):
+            is_walk_nonrepetitive(g, range(12), 12, budget=b)
+        assert b.spent == 226_733_624  # walks of P_6[K_2] up to 12 vertices
 
 
 class TestSharedConstraints:
@@ -253,7 +276,7 @@ class TestSharedConstraints:
         assert d.value is True and r.witness == d.witness
 
     def test_small_budget_decides_p10(self):
-        r = thue_number(build_path(10), SearchLimits(max_nodes=300))
+        r = thue_number(build_path(10), Budget(300))
         assert (r.status, r.value) == ("exact", 3)
 
 

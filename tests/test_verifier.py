@@ -14,6 +14,7 @@ from oracles import (
 from thuelex import (
     COMPLETE,
     EMPTY,
+    Budget,
     Coloring,
     Graph,
     ResourceLimitError,
@@ -269,7 +270,7 @@ class TestWalks:
     def test_budget(self):
         g = lex_product(build_path(6), COMPLETE, 2).view
         with pytest.raises(ResourceLimitError):
-            is_walk_nonrepetitive(g, tuple(range(12)), 12, node_budget=100)
+            is_walk_nonrepetitive(g, tuple(range(12)), 12, budget=Budget(100))
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
