@@ -95,14 +95,6 @@ def _parse_graph_spec(spec: str | None):
     return "graph", graphs.graph_from_json_dict(d)
 
 
-def _base_graph(spec: str | None) -> graphs.Graph:
-    """The plain graph named by ``--base``."""
-    kind, base = _parse_graph_spec(spec)
-    if kind != "graph":
-        raise ValueError("--base must be a plain graph")
-    return base
-
-
 def _required_n(n: int | None, what: str) -> int:
     if n is None:
         raise ValueError(f"{what} needs --n")
@@ -165,7 +157,10 @@ def _cmd_gen(args) -> int:
         g, core = graphs.build_outerplanar_g0()
         _note(f"g0: {g.n} vertices, {g.m} edges, core size {len(core)}")
     else:  # product
-        pg = graphs.lex_product(_base_graph(args.base), args.inner, args.k)
+        kind, base = _parse_graph_spec(args.base)
+        if kind != "graph":
+            raise ValueError("--base must be a plain graph")
+        pg = graphs.lex_product(base, args.inner, args.k)
         g = pg.view
         _note(f"product: {g.n} vertices, {g.m} edges")
     if args.kind == "product":
@@ -282,12 +277,9 @@ def _cmd_solve(args) -> int:
     if args.mode == "thue":
         search = partial(solver.thue_number, _load_view(args.graph))
     elif args.mode == "rainbow":
-        if args.base:
-            pg = graphs.lex_product(_base_graph(args.base), args.inner, args.k)
-        else:
-            kind, pg = _parse_graph_spec(args.graph)
-            if kind != "product":
-                raise ValueError("rainbow mode needs a product (file or --base/--inner/--k)")
+        kind, pg = _parse_graph_spec(args.graph)
+        if kind != "product":
+            raise ValueError("rainbow mode needs a product graph")
         search = partial(solver.rainbow_thue_number, pg)
     else:  # tuple
         if args.p is None or args.q is None:
@@ -348,65 +340,48 @@ def _cmd_seq(args) -> int:
         return EXIT_OK
     if args.action == "gaps":
         seq = _parse_sequence(args.sequence)
-        if len(seq) < 2:  # the one letter, if any, is the first and last peak
-            profile = sequences.GapProfile(tuple(range(1, len(seq) + 1)), ())
-        else:
-            profile = sequences.gap_profile(seq)
+        profile = sequences.gap_profile(seq)
         valley = sequences.find_valley(profile)
+        pat = None if valley is None else sequences.classify_valley_pattern(seq, valley)
         payload = {
             "peaks": list(profile.peaks),
             "gaps": list(profile.gaps),
             "valley": valley,
-            "pattern": None,
-        }
-        # classification is defined for ternary words with no repetition of
-        # length <= 6; every other word keeps "pattern": null
-        if (
-            valley is not None
-            and set(seq.symbols) <= {0, 1, 2}
-            and sequences.find_repetition(seq, max_period=3) is None
-        ):
-            ternary = sequences.SymbolSeq(seq.symbols, 3)
-            pat = sequences.classify_valley_pattern(ternary, valley)
-            payload["pattern"] = {
+            "pattern": None if pat is None else {
                 "id": pat.pattern,
                 "window": list(pat.window),
                 "letter_map": list(pat.letter_map),
-            }
+            },
+        }
         _emit(payload, args.output)
         return EXIT_OK
     if args.action == "enumerate":
-        stats = {"count": 0, "with_valley": 0}
+        with_valley = 0
 
         def visit(word: bytes):
-            stats["count"] += 1
-            if len(word) < 2:  # no gaps, so no valley
-                return
+            nonlocal with_valley
             seq = sequences.SymbolSeq(tuple(word), args.sigma)
             if sequences.find_valley(sequences.gap_profile(seq)) is not None:
-                stats["with_valley"] += 1
+                with_valley += 1
 
         total = sequences.enumerate_bounded_nonrep(
             args.sigma, args.len, args.maxrep, visit, budget=budget
         )
         payload = {
             "count": total,
-            "with_valley": stats["with_valley"],
-            "all_have_valley": stats["with_valley"] == total,
+            "with_valley": with_valley,
+            "all_have_valley": with_valley == total,
         }
         _emit(payload, args.output)
         return EXIT_OK
     # kozik
     seq = sequences.search_constrained(args.len, budget=budget)
-    payload = {"sequence": seq.to_str() if seq else None}
-    if seq is not None:
-        ok = (
-            sequences.find_repetition(seq) is None
-            and sequences.is_palindrome_free(seq)
-            and all((a, b) not in {(2, 3), (3, 2)} for a, b in zip(seq.symbols, seq.symbols[1:]))
-        )
-        payload["certified"] = ok
-    _emit(payload, args.output)
+    certified = (
+        sequences.find_repetition(seq) is None
+        and sequences.is_palindrome_free(seq)
+        and all((a, b) not in {(2, 3), (3, 2)} for a, b in zip(seq.symbols, seq.symbols[1:]))
+    )
+    _emit({"sequence": seq.to_str(), "certified": certified}, args.output)
     return EXIT_OK
 
 
@@ -452,13 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output")
 
     p_solve = sub.add_parser("solve", help="exact solve (thue / rainbow / tuple)")
-    p_solve.add_argument("graph", nargs="?", help="graph spec or JSON file")
+    p_solve.add_argument(
+        "graph", nargs="?", help="graph spec or JSON file; a product file in rainbow mode"
+    )
     p_solve.add_argument("--mode", choices=["thue", "rainbow", "tuple"], default="thue")
     p_solve.add_argument("--p", type=int)
     p_solve.add_argument("--q", type=int)
-    p_solve.add_argument("--base", help="base graph spec for rainbow mode")
-    p_solve.add_argument("--inner", choices=[graphs.EMPTY, graphs.COMPLETE], default=graphs.EMPTY)
-    p_solve.add_argument("--k", type=int, default=2)
     p_solve.add_argument("--max-nodes", type=int)
     p_solve.add_argument("--time-budget", type=float)
     p_solve.add_argument("--output")

@@ -29,9 +29,6 @@ class Coloring:
             if not 0 <= c < self.palette:
                 raise ValueError(f"color {c} outside palette of size {self.palette}")
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.colors)
-
 
 @dataclass(frozen=True)
 class TupleColoring:
@@ -200,7 +197,8 @@ def color_tree_complete(
        x_i's base vertex, whose only vertex at level L_i is itself, and the
        equal colors give x_(i+l) = x_i.
     The ``path_bound`` check stays as a guard: a repetition it finds refutes
-    this proof and raises AssertionError."""
+    this proof and raises AssertionError.  It takes find_repetitive_path's
+    bounds (even and at least 2, else ValueError); 0 skips it."""
     if k < 1:
         raise ValueError("need k >= 1")
     if len(meta.level) != tree.n or not 0 <= meta.root < tree.n:
@@ -220,10 +218,8 @@ def color_tree_complete(
     d = _driving_word(max(depth) + 1)
     colors = tuple(d[depth[v]] * k + j for v in range(tree.n) for j in range(k))
     pg = lex_product(tree, COMPLETE, k)
-    bound = min(path_bound, pg.view.n)
-    bound -= bound % 2
-    if bound >= 2:
-        witness = find_repetitive_path(pg.view, colors, bound)
+    if path_bound:
+        witness = find_repetitive_path(pg.view, colors, path_bound)
         if witness is not None:
             raise AssertionError(f"level coloring repeats on path {witness.path}")
     return Coloring(4 * k, colors)

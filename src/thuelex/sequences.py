@@ -14,9 +14,10 @@ letters strictly between consecutive peaks.
 One backtracking engine yields the square-free words of a given length in
 lexicographic order (symbol order 0 < 1 < 2 < ...), optionally with bounded
 period, palindrome-freeness or banned adjacent pairs.  The generators take its
-first word, the lexicographically least witness, and the bounded sweep takes
-all of them, so every result is deterministic.  Search budgets default to 10^8
-expansions.
+first word, the lexicographically least witness, and raise NoSuchSequenceError
+when there is none; the bounded sweep takes all of them, so every result is
+deterministic.  Words are byte strings, so an alphabet has 1 to 256 symbols.
+Search budgets default to 10^8 expansions.
 """
 
 from __future__ import annotations
@@ -28,16 +29,21 @@ from .errors import Budget, NoSuchSequenceError
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _check_alphabet(sigma: int):
+    """Words are byte strings, so an alphabet has 1 to 256 symbols."""
+    if not 1 <= sigma <= 256:
+        raise ValueError(f"alphabet size must be between 1 and 256, got {sigma}")
+
+
 @dataclass(frozen=True)
 class SymbolSeq:
-    """Finite sequence over the alphabet {0, .., sigma-1}."""
+    """Finite sequence over the alphabet {0, .., sigma-1}, 1 <= sigma <= 256."""
 
     symbols: tuple[int, ...]
     sigma: int
 
     def __post_init__(self):
-        if self.sigma < 1:
-            raise ValueError("alphabet size must be positive")
+        _check_alphabet(self.sigma)
         for x in self.symbols:
             if not 0 <= x < self.sigma:
                 raise ValueError(f"symbol {x} outside alphabet of size {self.sigma}")
@@ -128,23 +134,13 @@ def find_repetition(
     n = len(seq.symbols)
     if max_period is None:
         max_period = n // 2
-    if max_period < 1:
-        return None
-    if seq.sigma <= 256:
-        buf = bytes(seq.symbols)
-        best = None
-        for l in range(1, min(max_period, n // 2) + 1):
-            s = _least_square_start(buf, l)
-            if s is not None and (best is None or (s + 1, l) < best):
-                best = (s + 1, l)
-        return best
-    # alphabets beyond byte range: direct definition
-    xs = seq.symbols
-    for s in range(n):
-        for l in range(1, min(max_period, (n - s) // 2) + 1):
-            if xs[s : s + l] == xs[s + l : s + 2 * l]:
-                return (s + 1, l)
-    return None
+    buf = bytes(seq.symbols)
+    best = None
+    for l in range(1, min(max_period, n // 2) + 1):
+        s = _least_square_start(buf, l)
+        if s is not None and (best is None or (s + 1, l) < best):
+            best = (s + 1, l)
+    return best
 
 
 def is_palindrome_free(seq: SymbolSeq) -> bool:
@@ -227,6 +223,15 @@ def _square_free_words(
         occ[buf[pos]].pop()
 
 
+def _least_word(sigma: int, length: int, what: str, budget: Budget | None, **constraints):
+    """The first word of the engine, or NoSuchSequenceError naming ``what``."""
+    words = _square_free_words(sigma, length, budget=budget or Budget(), **constraints)
+    buf = next(words, None)
+    if buf is None:
+        raise NoSuchSequenceError(f"no {what} sequence of length {length} over {sigma} symbols")
+    return SymbolSeq(tuple(buf), sigma)
+
+
 def gen_nonrepetitive(
     sigma: int,
     length: int,
@@ -240,49 +245,38 @@ def gen_nonrepetitive(
     Three symbols suffice for unbounded nonrepetitive words and four for
     palindrome-free ones; smaller alphabets exhaust quickly and raise
     NoSuchSequenceError."""
-    if sigma < 1:
-        raise ValueError("alphabet size must be positive")
-    if sigma > 256:
-        raise ValueError("alphabet size limited to 256")
-    words = _square_free_words(
-        sigma, length, palindrome_free=require_palindrome_free, budget=budget or Budget()
-    )
-    buf = next(words, None)
-    if buf is None:
-        kind = "palindrome-free nonrepetitive" if require_palindrome_free else "nonrepetitive"
-        raise NoSuchSequenceError(
-            f"no {kind} sequence of length {length} over {sigma} symbols"
-        )
-    return SymbolSeq(tuple(buf), sigma)
+    _check_alphabet(sigma)
+    kind = "palindrome-free nonrepetitive" if require_palindrome_free else "nonrepetitive"
+    return _least_word(sigma, length, kind, budget, palindrome_free=require_palindrome_free)
 
 
-def search_constrained(length: int, *, budget: Budget | None = None) -> SymbolSeq | None:
+def search_constrained(length: int, *, budget: Budget | None = None) -> SymbolSeq:
     """Least word over A, B, C, D that is nonrepetitive, palindrome-free and
-    never puts C and D next to each other; None if no such word exists."""
+    never puts C and D next to each other; NoSuchSequenceError if the search
+    runs out of words."""
     if length < 1:
         raise ValueError("length must be positive")
-    words = _square_free_words(
+    return _least_word(
         4,
         length,
+        "palindrome-free nonrepetitive CD-free",
+        budget,
         palindrome_free=True,
         banned_adjacent=frozenset({(2, 3), (3, 2)}),
-        budget=budget or Budget(),
     )
-    buf = next(words, None)
-    return None if buf is None else SymbolSeq(tuple(buf), 4)
 
 
 def gap_profile(seq: SymbolSeq) -> GapProfile:
-    """Peak positions and gaps; needs at least two letters."""
+    """Peak positions and gaps, for a word of any length.
+
+    The first and last letters are peaks, and so is each letter whose two
+    neighbours are equal.  A one-letter word has the peak 1 and no gaps; the
+    empty word has neither."""
     xs = seq.symbols
     n = len(xs)
-    if n < 2:
-        raise ValueError("gap profile needs at least two letters")
-    peaks = [1]
-    peaks += [p for p in range(2, n) if xs[p - 2] == xs[p]]
-    peaks.append(n)
+    peaks = tuple([p for p in range(1, n + 1) if p == 1 or p == n or xs[p - 2] == xs[p]])
     gaps = tuple(b - a - 1 for a, b in zip(peaks, peaks[1:]))
-    return GapProfile(tuple(peaks), gaps)
+    return GapProfile(peaks, gaps)
 
 
 def find_valley(profile: GapProfile) -> int | None:
@@ -302,22 +296,23 @@ _VALLEY_PATTERNS = {
 }
 
 
-def classify_valley_pattern(seq: SymbolSeq, valley: int) -> ValleyPattern:
+def classify_valley_pattern(seq: SymbolSeq, valley: int) -> ValleyPattern | None:
     """Match the window around a valley against the canonical shape for its
     middle gap.
 
-    Requires a ternary sequence avoiding repetitions of length <= 6 and a
-    valley index as returned by find_valley; the window around the two middle
-    peaks then always matches pattern g2 up to a permutation of the letters.
+    ``valley`` must be a valley index as returned by find_valley (ValueError
+    otherwise).  Classification is defined for words over the letters A, B, C
+    (symbols 0, 1, 2, whatever ``sigma`` says) that avoid repetitions of
+    length <= 6; the window around the two middle peaks then always matches
+    pattern g2 up to a permutation of the letters.  Every other word gets
+    None.
     """
-    if seq.sigma != 3:
-        raise ValueError("valley classification is defined over three letters")
-    if find_repetition(seq, max_period=3) is not None:
-        raise ValueError("sequence must avoid repetitions of length at most 6")
     profile = gap_profile(seq)
     g = profile.gaps
     if not (0 <= valley <= len(g) - 3 and g[valley] >= g[valley + 1] <= g[valley + 2]):
         raise ValueError(f"index {valley} is not a valley of this sequence")
+    if not set(seq.symbols) <= {0, 1, 2} or find_repetition(seq, max_period=3) is not None:
+        return None
     g2 = g[valley + 1]
     if g2 not in _VALLEY_PATTERNS:
         raise ValueError(f"middle gap {g2} admits no canonical pattern")
@@ -353,9 +348,10 @@ def enumerate_bounded_nonrep(
     oversized run is refused at once; the search itself is uncharged, as its
     node count can exceed that by up to sigma/(sigma-2).
     """
+    _check_alphabet(sigma)
     if length < 0 or length > 24:
         raise ValueError("enumeration length capped at 24")
-    if sigma < 1 or max_rep_len < 2:
+    if max_rep_len < 2:
         raise ValueError("invalid enumeration parameters")
     projected = sigma * max(sigma - 1, 1) ** max(length - 1, 0)
     (budget or Budget()).charge(projected)

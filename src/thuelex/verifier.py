@@ -160,15 +160,14 @@ def find_tuple_repetitive_path(
     return _find_repetition(g, sets, max_vertices)
 
 
-def _count_walks_up_to(g: Graph, max_vertices: int) -> int:
-    """Number of walks with an even vertex count up to the bound."""
+def _charge_walks(g: Graph, max_vertices: int, budget: Budget):
+    """Charge the walks with an even vertex count up to the bound, one
+    length at a time, so an oversized count is refused as soon as it is."""
     counts = [1] * g.n
-    total = 0
     for length in range(2, max_vertices + 1):
         counts = [sum(counts[u] for u in g.adj[v]) for v in range(g.n)]
         if length % 2 == 0:
-            total += sum(counts)
-    return total
+            budget.charge(sum(counts))
 
 
 def is_walk_nonrepetitive(
@@ -177,14 +176,14 @@ def is_walk_nonrepetitive(
     """True iff no non-boring walk of at most the given even vertex count is
     repetitively colored.  A boring walk (second half revisits the first
     vertex-by-vertex) is repetitively colored under every coloring and is
-    exempt by definition.  The number of walks up to the bound is charged to
-    the budget up front; the walk search itself is uncharged."""
+    exempt by definition.  The number of walks of each even length up to the
+    bound is charged to the budget up front, length by length; the walk
+    search itself is uncharged."""
     colors = tuple(colors)
     _check_coloring_size(g, len(colors))
     if max_walk_vertices < 2 or max_walk_vertices % 2 != 0:
         raise ValueError("walk bound must be even and at least 2")
-    projected = _count_walks_up_to(g, max_walk_vertices)
-    (budget or Budget()).charge(projected)
+    _charge_walks(g, max_walk_vertices, budget or Budget())
     adj = g.adj
     for t in range(1, max_walk_vertices // 2 + 1):
         for start in range(g.n):

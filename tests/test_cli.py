@@ -9,6 +9,7 @@ from thuelex import (
     gen_nonrepetitive,
     lex_product,
 )
+from thuelex import sequences
 from thuelex.cli import main
 
 
@@ -99,6 +100,14 @@ class TestColor:
         tree, _ = build_rooted_tree(3, 2, 3)
         pg = lex_product(tree, COMPLETE, 2)
         assert find_repetitive_path(pg.view, d["colors"], 12) is None
+
+    @pytest.mark.parametrize("bound", ["3", "-5"])
+    def test_tree_complete_bad_path_bound_exit_2(self, capsys, bound):
+        code, out, err = run(
+            capsys, "color", "tree-complete", "--leaf-depth", "3", "--path-bound", bound
+        )
+        assert code == 2
+        assert out == "" and "even" in err
 
     def test_tree_complete_k0_exit_2(self, capsys):
         code, out, err = run(capsys, "color", "tree-complete", "--k", "0")
@@ -280,13 +289,26 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == 3
 
-    def test_rainbow_inline_product(self, capsys):
-        code, out, _ = run(
-            capsys, "solve", "--mode", "rainbow",
-            "--base", "path:4", "--inner", "empty", "--k", "2",
-        )
+    def test_rainbow_inline_product(self, capsys, tmp_path):
+        graph = tmp_path / "g.json"
+        run(capsys, "gen", "product", "--base", "path:4", "--inner", "empty",
+            "--k", "2", "--output", str(graph))
+        code, out, _ = run(capsys, "solve", "--mode", "rainbow", str(graph))
         assert code == 0
         assert json.loads(out)["value"] == 6
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--base", "path:4"), ("--inner", "empty"), ("--k", "3")]
+    )
+    def test_product_flags_are_gone(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--mode", "rainbow", flag, value])
+        assert exc.value.code == 2
+
+    def test_rainbow_needs_a_product(self, capsys):
+        code, out, err = run(capsys, "solve", "--mode", "rainbow", "path:4")
+        assert code == 2
+        assert out == "" and "product" in err
 
     def test_timeout_exit_3(self, capsys, tmp_path):
         graph = tmp_path / "g.json"
@@ -422,6 +444,25 @@ class TestSeq:
             code, out, err = run(capsys, "seq", action, str(f))
             assert code == 2
             assert out == "" and "error" in err
+
+    @pytest.mark.parametrize("action", ["check", "gaps"])
+    def test_wide_alphabet_json_exit_2(self, capsys, tmp_path, action):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"sigma": 300, "symbols": [0, 1, 0]}))
+        code, out, err = run(capsys, "seq", action, str(f))
+        assert code == 2
+        assert out == "" and "between 1 and 256" in err
+
+    def test_enumerate_wide_alphabet_exit_2(self, capsys):
+        code, out, err = run(capsys, "seq", "enumerate", "--sigma", "300", "--len", "2")
+        assert code == 2
+        assert out == "" and "between 1 and 256" in err
+
+    def test_kozik_out_of_words_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequences, "_square_free_words", lambda *a, **kw: iter(()))
+        code, out, err = run(capsys, "seq", "kozik", "--len", "5")
+        assert code == 1
+        assert out == "" and "no such sequence" in err
 
     def test_kozik(self, capsys):
         code, out, _ = run(capsys, "seq", "kozik", "--len", "30")

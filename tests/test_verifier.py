@@ -276,6 +276,14 @@ class TestWalks:
         with pytest.raises(ValueError):
             is_walk_nonrepetitive(build_path(2), (0, 1), 3)
 
+    def test_oversized_count_is_refused_at_once(self):
+        # each even length's walk count is charged as it is made, so the
+        # count stops at the first length whose running total passes 10^8
+        b = Budget()
+        with pytest.raises(ResourceLimitError):
+            is_walk_nonrepetitive(build_path(500), [v % 3 for v in range(500)], 4000, budget=b)
+        assert b.spent == 345_385_486
+
 
 class TestTrichotomy:
     def test_theorem1_coloring(self):
