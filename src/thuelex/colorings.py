@@ -155,14 +155,19 @@ def color_path_rainbow(n: int, k: int) -> Coloring:
     return Coloring(palette, tuple(colors))
 
 
+def _level_coloring(levels, k: int) -> Coloring:
+    """The 4k-coloring whose layer b is rainbow on the d_l-th of four
+    disjoint k-blocks, l = levels[b] and d the driving four-symbol word."""
+    d = _driving_word(max(levels) + 1)
+    return Coloring(4 * k, tuple(d[level] * k + j for level in levels for j in range(k)))
+
+
 def color_path_complete(n: int, k: int) -> Coloring:
-    """Coloring of P_n[K_k] with exactly 4k colors: layer i is rainbow on the
-    d_i-th of four disjoint k-blocks, d the driving four-symbol word."""
+    """Coloring of P_n[K_k] with exactly 4k colors: the level coloring of
+    the path rooted at vertex 0, so layer i is rainbow on the d_i-th block."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    d = _driving_word(n)
-    colors = tuple(d[b] * k + j for b in range(n) for j in range(k))
-    return Coloring(4 * k, colors)
+    return _level_coloring(range(n), k)
 
 
 def color_tree_complete(
@@ -215,14 +220,13 @@ def color_tree_complete(
         raise ValueError("input graph is not a tree")
     if depth != list(meta.level):
         raise ValueError("levels must be the distances from the root")
-    d = _driving_word(max(depth) + 1)
-    colors = tuple(d[depth[v]] * k + j for v in range(tree.n) for j in range(k))
+    coloring = _level_coloring(depth, k)
     pg = lex_product(tree, COMPLETE, k)
     if path_bound:
-        witness = find_repetitive_path(pg.view, colors, path_bound)
+        witness = find_repetitive_path(pg.view, coloring.colors, path_bound)
         if witness is not None:
             raise AssertionError(f"level coloring repeats on path {witness.path}")
-    return Coloring(4 * k, colors)
+    return coloring
 
 
 def layer_color_sets(pg: ProductGraph, coloring: Coloring) -> LayerColorSets:

@@ -130,10 +130,12 @@ def find_repetition(
 
     "Least" orders by start first, then period.  Returns None if the sequence
     contains no repetition of period <= max_period (default: half the
-    length)."""
+    length; ValueError if it is below 1)."""
     n = len(seq.symbols)
     if max_period is None:
         max_period = n // 2
+    elif max_period < 1:
+        raise ValueError(f"max period must be at least 1, got {max_period}")
     buf = bytes(seq.symbols)
     best = None
     for l in range(1, min(max_period, n // 2) + 1):
@@ -246,6 +248,8 @@ def gen_nonrepetitive(
     palindrome-free ones; smaller alphabets exhaust quickly and raise
     NoSuchSequenceError."""
     _check_alphabet(sigma)
+    if length < 0:
+        raise ValueError(f"word length must be nonnegative, got {length}")
     kind = "palindrome-free nonrepetitive" if require_palindrome_free else "nonrepetitive"
     return _least_word(sigma, length, kind, budget, palindrome_free=require_palindrome_free)
 
@@ -349,8 +353,8 @@ def enumerate_bounded_nonrep(
     node count can exceed that by up to sigma/(sigma-2).
     """
     _check_alphabet(sigma)
-    if length < 0 or length > 24:
-        raise ValueError("enumeration length capped at 24")
+    if not 0 <= length <= 24:
+        raise ValueError(f"enumeration length must be between 0 and 24, got {length}")
     if max_rep_len < 2:
         raise ValueError("invalid enumeration parameters")
     projected = sigma * max(sigma - 1, 1) ** max(length - 1, 0)

@@ -17,6 +17,11 @@ reversal of a repetition is one.
 
 With max_vertices = |V| rounded down to even the check is exact; smaller
 bounds give sound but partial verification and the caller must say so.
+
+Walks run the same search: the in-path marks stay clear, so a vertex may
+repeat; a completed repetition whose second half is its first half vertex
+by vertex (a boring walk, never a simple path) is skipped; and the bound is
+not clamped to |V|.
 """
 
 from __future__ import annotations
@@ -42,10 +47,10 @@ def _check_coloring_size(g: Graph, n_colors: int):
         raise ValueError(f"coloring covers {n_colors} vertices, graph has {g.n}")
 
 
-def _even_bound(g: Graph, max_vertices: int) -> int:
+def _even_bound(g: Graph, max_vertices: int, walks: bool = False) -> int:
     if max_vertices < 2 or max_vertices % 2 != 0:
-        raise ValueError("path bound must be even and at least 2")
-    return min(max_vertices, g.n - (g.n % 2))
+        raise ValueError(f"{'walk' if walks else 'path'} bound must be even and at least 2")
+    return max_vertices if walks else min(max_vertices, g.n - (g.n % 2))
 
 
 def is_exact_bound(g: Graph, max_vertices: int) -> bool:
@@ -53,13 +58,17 @@ def is_exact_bound(g: Graph, max_vertices: int) -> bool:
     return max_vertices >= g.n - (g.n % 2)
 
 
-def _find_repetition(g: Graph, sets, max_vertices: int) -> RepetitionWitness | None:
+def _find_repetition(
+    g: Graph, sets, max_vertices: int, walks: bool = False
+) -> RepetitionWitness | None:
     """First (in l, then start vertex, then lexicographic extension order)
     even simple path of at most max_vertices vertices whose positions i and
-    i+l have meeting color sets, or None."""
+    i+l have meeting color sets, or None.  With ``walks``, the first such
+    walk that is not boring."""
     sets = [frozenset(s) for s in sets]
     _check_coloring_size(g, len(sets))
-    bound = _even_bound(g, max_vertices)
+    bound = _even_bound(g, max_vertices, walks)
+    mark = 0 if walks else 1  # the in-path mark; walks leave every vertex free
     labels: dict = {}
     lab = [labels.setdefault(s, len(labels)) for s in sets]
     holders: dict = {}
@@ -83,7 +92,7 @@ def _find_repetition(g: Graph, sets, max_vertices: int) -> RepetitionWitness | N
     # one round per cap, the half-lengths lo + 1 .. cap: top / 2^k rounded up
     for cap in sorted({-(-top >> k) for k in range(top.bit_length())} - {1}):
         for start in range(g.n):
-            in_path[start] = 1
+            in_path[start] = mark
             # l, m: half-length and length of the second halves searched, or 0;
             # base: the frame of their first vertices
             path, l, m, base, stack = [start], 0, 0, None, [iter(adj[start])]
@@ -111,6 +120,8 @@ def _find_repetition(g: Graph, sets, max_vertices: int) -> RepetitionWitness | N
                         nxt = adj[u]
                 else:  # a repetition of half-length l
                     p = (*path, u)
+                    if p[:l] == p[l:]:  # a boring walk
+                        continue
                     half = tuple(min(sets[p[i]] & sets[p[i + l]]) for i in range(l))
                     best = RepetitionWitness(p, half)
                     if l - 1 == lo:
@@ -122,7 +133,7 @@ def _find_repetition(g: Graph, sets, max_vertices: int) -> RepetitionWitness | N
                     nxt = l = m = 0
                 if nxt:
                     path.append(u)
-                    in_path[u] = 1
+                    in_path[u] = mark
                     stack.append(iter(nxt))
         if best:
             return best
@@ -179,33 +190,11 @@ def is_walk_nonrepetitive(
     exempt by definition.  The number of walks of each even length up to the
     bound is charged to the budget up front, length by length; the walk
     search itself is uncharged."""
-    colors = tuple(colors)
-    _check_coloring_size(g, len(colors))
-    if max_walk_vertices < 2 or max_walk_vertices % 2 != 0:
-        raise ValueError("walk bound must be even and at least 2")
-    _charge_walks(g, max_walk_vertices, budget or Budget())
-    adj = g.adj
-    for t in range(1, max_walk_vertices // 2 + 1):
-        for start in range(g.n):
-            walk = [start]
-            stack = [iter(adj[start])]
-            while stack:
-                d = len(walk)
-                for u in stack[-1]:
-                    if d < t or colors[u] == colors[walk[d - t]]:
-                        break
-                else:
-                    stack.pop()
-                    walk.pop()
-                    continue
-                walk.append(u)
-                if d + 1 < 2 * t:
-                    stack.append(iter(adj[u]))
-                elif any(walk[i] != walk[t + i] for i in range(t)):
-                    return False
-                else:
-                    walk.pop()
-    return True
+    sets = [(c,) for c in colors]
+    _check_coloring_size(g, len(sets))
+    bound = _even_bound(g, max_walk_vertices, walks=True)
+    _charge_walks(g, bound, budget or Budget())
+    return _find_repetition(g, sets, bound, walks=True) is None
 
 
 def check_path4_trichotomy(pg: ProductGraph, colors) -> bool:

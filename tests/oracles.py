@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately restate the definitions as literally as possible and share
-no code with the library: sequences are scanned pair by pair, paths are
-enumerated without pruning, and tuple choices are expanded one by one.
+no code with the library: sequences are scanned pair by pair, paths and
+walks are enumerated without pruning, and tuple choices are expanded one by
+one.
 """
 
 from itertools import product
@@ -57,6 +58,24 @@ def naive_repetitive_path_exists(g, colors):
         l = m // 2
         if all(colors[path[i]] == colors[path[i + l]] for i in range(l)):
             return True
+    return False
+
+
+def naive_repetitive_walk_exists(g, colors, max_vertices):
+    """Any walk of an even number of vertices, at most max_vertices, whose
+    color word is a repetition and which is not boring (its second half is
+    not its first half vertex by vertex)?  Every walk is enumerated."""
+    stack = [[v] for v in range(g.n)]
+    while stack:
+        walk = stack.pop()
+        m = len(walk)
+        if m % 2 == 0:
+            l = m // 2
+            repetitive = all(colors[walk[i]] == colors[walk[i + l]] for i in range(l))
+            if repetitive and walk[:l] != walk[l:]:
+                return True
+        if m < max_vertices:
+            stack.extend(walk + [u] for u in g.adj[walk[-1]])
     return False
 
 

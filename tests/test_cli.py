@@ -370,6 +370,12 @@ class TestSeq:
         d = json.loads(out)
         assert d["repetition"] == [1, 2] and d["palindrome_free"] is False
 
+    @pytest.mark.parametrize("max_period", ["0", "-3"])
+    def test_check_max_period_below_1_exit_2(self, capsys, max_period):
+        code, out, err = run(capsys, "seq", "check", "ABAB", "--max-period", max_period)
+        assert code == 2
+        assert out == "" and "max period must be at least 1" in err
+
     def test_gaps_pattern(self, capsys):
         code, out, _ = run(capsys, "seq", "gaps", "CBABCBA")
         assert code == 0

@@ -71,3 +71,11 @@ def test_searches_take_one_budget():
         if inspect.isfunction(obj):
             params = inspect.signature(obj).parameters
             assert not {"limits", "node_budget"} & params.keys(), name
+
+
+def test_verifier_has_one_search():
+    """Paths and walks share one repetitive-path kernel, the verifier's only
+    explicit-stack loop, so a second search cannot come back unnoticed."""
+    tree = _modules()["verifier"]
+    loops = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)]
+    assert len(loops) == 1, f"verifier.py has while loops at lines {loops}"

@@ -42,6 +42,12 @@ class TestFindRepetition:
         assert find_repetition(s) == (1, 3)
         assert find_repetition(s, max_period=2) is None
 
+    @pytest.mark.parametrize("max_period", [0, -3])
+    def test_max_period_below_1_is_refused(self, max_period):
+        # an empty range of periods would report ABAB square-free
+        with pytest.raises(ValueError, match=f"max period must be at least 1, got {max_period}"):
+            find_repetition(seq("ABAB"), max_period=max_period)
+
     @settings(max_examples=300)
     @given(short_words)
     def test_matches_naive(self, s):
@@ -98,6 +104,10 @@ class TestGenerate:
     def test_infeasible_binary(self):
         with pytest.raises(NoSuchSequenceError):
             gen_nonrepetitive(2, 4)
+
+    def test_negative_length_is_named(self):
+        with pytest.raises(ValueError, match="word length must be nonnegative, got -1"):
+            gen_nonrepetitive(3, -1)
 
     def test_infeasible_ternary_palindrome_free(self):
         # brute force: no ternary palindrome-free square-free word of length 6
@@ -184,6 +194,10 @@ class TestValleys:
 
 
 class TestEnumerate:
+    def test_negative_length_is_named(self):
+        with pytest.raises(ValueError, match="between 0 and 24, got -2"):
+            enumerate_bounded_nonrep(3, -2)
+
     @pytest.mark.parametrize("length", [1, 2, 4, 6, 8])
     def test_counts_match_brute(self, length):
         """The visitor sees exactly the brute-force words, in lexicographic

@@ -9,6 +9,7 @@ from oracles import (
     naive_find_repetition,
     naive_least_repetitive_path,
     naive_repetitive_path_exists,
+    naive_repetitive_walk_exists,
     naive_tuple_repetitive_path_exists,
 )
 from thuelex import (
@@ -275,6 +276,39 @@ class TestWalks:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             is_walk_nonrepetitive(build_path(2), (0, 1), 3)
+
+    @pytest.mark.parametrize("bound", [3, 1, 0, -2])
+    def test_bad_bound_is_refused_before_charging(self, bound):
+        b = Budget()
+        with pytest.raises(ValueError, match="walk bound must be even and at least 2"):
+            is_walk_nonrepetitive(build_path(4), (0, 1, 2, 0), bound, budget=b)
+        assert b.spent == 0
+
+    def test_matches_walk_enumeration(self):
+        """Random graphs of at most 9 vertices, paths, cycles and P_n[E_k],
+        P_n[K_k] with k <= 2, colored with 1-5 colors, at even bounds 2-8."""
+        rng = random.Random(12)
+        walk_nonrepetitive = 0
+        for _ in range(3000):
+            kind = rng.randrange(4)
+            if kind == 0:
+                n, p = rng.randint(1, 9), rng.choice((0.2, 0.3, 0.4))
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                g = Graph.from_edges(n, edges)
+            elif kind == 1:
+                g = build_path(rng.randint(1, 9))
+            elif kind == 2:
+                g = build_cycle(rng.randint(3, 9))
+            else:
+                inner = rng.choice((EMPTY, COMPLETE))
+                g = lex_product(build_path(rng.randint(1, 4)), inner, rng.randint(1, 2)).view
+            q = rng.randint(1, 5)
+            colors = [rng.randrange(q) for _ in range(g.n)]
+            bound = rng.choice((2, 4, 6, 8))
+            fast = is_walk_nonrepetitive(g, colors, bound)
+            assert fast is not naive_repetitive_walk_exists(g, colors, bound), (g, colors, bound)
+            walk_nonrepetitive += fast
+        assert 300 < walk_nonrepetitive < 2700  # both answers are exercised
 
     def test_oversized_count_is_refused_at_once(self):
         # each even length's walk count is charged as it is made, so the
