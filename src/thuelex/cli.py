@@ -236,10 +236,11 @@ def _cmd_verify(args) -> int:
             _note("not a rainbow coloring")
             return EXIT_WITNESS
 
+    budget = _budget(args.max_nodes, args.time_budget)
     if ckind == "tuple":
-        witness = verifier.find_tuple_repetitive_path(view, col.sets, bound)
+        witness = verifier.find_tuple_repetitive_path(view, col.sets, bound, budget=budget)
     else:
-        witness = verifier.find_repetitive_path(view, col.colors, bound)
+        witness = verifier.find_repetitive_path(view, col.colors, bound, budget=budget)
     if witness is not None:
         report["verified"] = False
         report["path"] = list(witness.path)
@@ -253,7 +254,7 @@ def _cmd_verify(args) -> int:
         if ckind != "plain":
             raise ValueError("--walks applies to plain colorings")
         report["walk_nonrepetitive"] = verifier.is_walk_nonrepetitive(
-            view, col.colors, args.walks, budget=_budget()
+            view, col.colors, args.walks, budget=budget
         )
         if not report["walk_nonrepetitive"]:
             report["verified"] = False
@@ -424,6 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--exact", action="store_true", help="check all even paths")
     p_verify.add_argument("--rainbow", action="store_true", help="also require rainbow layers")
     p_verify.add_argument("--walks", type=int, help="also check walks up to this length")
+    p_verify.add_argument("--max-nodes", type=int)
+    p_verify.add_argument("--time-budget", type=float)
     p_verify.add_argument("--output")
 
     p_solve = sub.add_parser("solve", help="exact solve (thue / rainbow / tuple)")

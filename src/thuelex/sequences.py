@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Budget, NoSuchSequenceError
+from .errors import Budget, NoSuchSequenceError, ResourceLimitError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -165,7 +165,9 @@ def _square_free_words(
     period) under the extra constraints, in lexicographic order.
 
     Each word is the live buffer: copy it before resuming the generator.
-    Every candidate symbol is charged as one node to ``budget``.
+    Every candidate symbol is charged as one node to ``budget``, so a word
+    of ``length`` letters costs at least ``length`` nodes: a budget with
+    fewer left is refused before the buffers are allocated.
 
     Incremental check: after placing position p, only squares ending at p can
     be new.  Candidate periods l >= 2 are read off the occurrence list of the
@@ -175,6 +177,10 @@ def _square_free_words(
     if length == 0:
         yield bytearray()
         return
+    if budget.spent + length > budget.max_nodes:
+        raise ResourceLimitError(
+            f"a word of {length} letters needs more nodes than the budget has left"
+        )
     max_l = length if max_period is None else max_period
     buf = bytearray(length)
     view = memoryview(buf)

@@ -3,30 +3,76 @@ or walk-nonrepetitive, producing re-checkable witnesses.
 
 Plain and tuple colorings share one repetitive-path search: a plain color c
 is the color set {c}, and positions i and i+l of an even path agree when
-their color sets meet.  Each distinct set gets a label, and ``step[x][L]``
-lists the neighbours of x (ascending) whose set meets the set labelled L.
-Half-length 1 is one scan of the edges; longer ones go in rounds lo+1..cap,
-cap = ceil(top / 2^k) for top = bound / 2, so a short repetition needs no
-deep search from the starts before it.  In a round, a DFS from each start in
-turn walks its first halves of up to cap vertices once (O(n cap) at max
-degree 2); at each of l > lo vertices it walks the second halves along only
-``step[last][label of the vertex l back]``, which prunes almost everything.
-A witness of half-length l stops all first halves of l or more vertices, so
-the least l wins, then the least start: the smaller endpoint, as the
-reversal of a repetition is one.
+their color sets meet.  Each distinct set gets a label.
+
+The kernel, ``_search``, is one explicit-stack DFS over nodes that each have
+a room: how often one path may hold the node.  Half-length 1 is one scan of
+the edges; longer ones go in rounds lo+1..cap, cap = ceil(top / 2^k) for
+top = bound / 2, so a short repetition needs no deep search from the starts
+before it.  In a round, a DFS from each start in turn walks its first halves
+of up to cap nodes once (O(n cap) at max degree 2); at each of l > lo nodes
+it walks the second halves along only ``step[last][key of the node l
+back]``, which prunes almost everything.  A repetition of half-length l
+stops all first halves of l or more nodes, so the least l wins, then the
+least start, then the first extension.  Each first half that opens second
+halves charges the budget one node.
+
+The vertex search runs the kernel on the vertices, each with room 1;
+``step[x][L]`` lists the neighbours of x (ascending) whose set meets the set
+labelled L.  Its first repetition is the least repetitive path by (length,
+vertex sequence), which starts at its smaller endpoint, as the reversal of a
+repetition is one.
+
+A graph with twins first runs the class search, which is exact.
+1. Twin classes.  False twins share their open neighbourhood and true twins
+   their closed one.  No vertex u has both kinds: a false twin v and a true
+   twin w of u would make w adjacent to v, so v adjacent to u.  Each class is
+   a module: a vertex outside it sees all of it or none of it.
+2. Paths are class walks.  So distinct vertices x_1..x_m form a path iff
+   their classes C_1..C_m step between adjacent classes or inside a
+   true-twin class (a clique), and then every choice of distinct vertices
+   with those classes is a path too.
+3. Label multiplicities suffice.  Whether positions i and i+l meet depends
+   on their labels alone.  So some path of 2l vertices is a repetition iff
+   some class walk C_1..C_2l as in 2 has labels L_p held in C_p such that
+   (a) the sets labelled L_i and L_(i+l) meet, for every i <= l, and
+   (b) no class is asked for a label more often than it holds it.
+   A path gives the labels of its vertices.  Conversely, labels as in (a)
+   and (b) lift to distinct vertices, class by class and label by label,
+   and 2 makes those a path.
+4. The search.  The kernel runs on the classes, each with room its size, so
+   it walks every class walk of 2 that enters no class too often.
+   ``step[c][P]`` lists the classes next to c (c too, for a clique) holding
+   a label that meets a label of P, the class l back.  A class pairs with
+   itself only through two meeting labels or one label held twice.  These
+   are (a) and (b) for one pair at a time, so they prune no walk of 3.  At a
+   complete walk ``fits`` decides (a) and (b) exactly.  A pair whose two
+   classes the walk enters once each takes any meeting labels, and the other
+   pairs try every choice.  So the class search meets a repetition of
+   half-length l iff a path has one.  Its rounds and cuts are those of the
+   vertex search, so its first repetition has the least l.  It walks each
+   class walk once, where the vertex search walks every choice of vertices
+   in it.
+5. The witness.  The vertex search then runs on that l alone (lo = l - 1,
+   bound 2l).  It returns what it would have returned over every
+   half-length, as its order is the least l, then the least start, then the
+   first extension.
+A graph without twins runs the vertex search alone.
 
 With max_vertices = |V| rounded down to even the check is exact; smaller
 bounds give sound but partial verification and the caller must say so.
 
-Walks run the same search: the in-path marks stay clear, so a vertex may
-repeat; a completed repetition whose second half is its first half vertex
-by vertex (a boring walk, never a simple path) is skipped; and the bound is
-not clamped to |V|.
+Walks run the vertex search: every vertex has room for the whole walk, so a
+vertex may repeat; a completed repetition whose second half is its first
+half vertex by vertex (a boring walk, never a simple path) is skipped; and
+the bound is not clamped to |V|.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import Budget
 from .graphs import Graph, ProductGraph
@@ -58,8 +104,141 @@ def is_exact_bound(g: Graph, max_vertices: int) -> bool:
     return max_vertices >= g.n - (g.n % 2)
 
 
+def _search(adj, step, key, room, fits, lo: int, bound: int, budget: Budget):
+    """The first (in l, then start, then extension order) node sequence p of
+    lo < l <= bound / 2 nodes a half whose positions i and i+l are paired by
+    ``step`` and for which ``fits(p, l)`` holds, or None.  The first halves
+    start at the nodes of ``adj`` and walk it; ``room`` holds every node's
+    room and is used up as nodes join the sequence."""
+    top, best = bound // 2, None
+    # one round per cap, the half-lengths lo + 1 .. cap: top / 2^k rounded up
+    for cap in sorted(c for c in {-(-top >> k) for k in range(top.bit_length())} if c > lo):
+        for start in range(len(adj)):
+            room[start] -= 1
+            # l, m: half-length and length of the second halves searched, or 0;
+            # base: the frame of their first nodes
+            path, l, m, base, stack = [start], 0, 0, None, [iter(adj[start])]
+            while stack:
+                for u in stack[-1]:
+                    if room[u]:
+                        break
+                else:
+                    if stack.pop() is base:  # every second half of path is done
+                        l = m = 0
+                        if len(path) < cap:
+                            stack.append(iter(adj[path[-1]]))
+                            continue
+                    room[path.pop()] += 1
+                    continue
+                d = len(path) + 1  # nodes once u is added
+                if d < m:
+                    nxt = step[u].get(key[path[d - l]])
+                elif not l:  # a new first half: search its second halves first
+                    nxt = step[u].get(key[start]) if d > lo else None
+                    if nxt:  # iter(base) is base: base is the frame pushed below
+                        budget.charge()
+                        l, m, base = d, 2 * d, iter(nxt)
+                        nxt = base
+                    elif d < cap:
+                        nxt = adj[u]
+                else:  # a repetition of half-length l
+                    p = (*path, u)
+                    if not fits(p, l):
+                        continue
+                    best = p
+                    if l - 1 == lo:
+                        return best
+                    cap = l - 1
+                    for v in path[l - 2 :]:
+                        room[v] += 1
+                    del path[l - 2 :], stack[l - 2 :]
+                    nxt = l = m = 0
+                if nxt:
+                    path.append(u)
+                    room[u] -= 1
+                    stack.append(iter(nxt))
+        if best:
+            return best
+        lo = cap
+    return None
+
+
+def _not_boring(p, l: int) -> bool:
+    """The vertex search's end check: a path is never boring, a walk may be."""
+    return p[:l] != p[l:]
+
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of g in order of least vertex, each ascending."""
+    closed = [tuple(sorted((*nbrs, v))) for v, nbrs in enumerate(g.adj)]
+    by_open: dict = {}
+    by_closed: dict = {}
+    for v, nbrs in enumerate(g.adj):
+        by_open.setdefault(nbrs, []).append(v)
+        by_closed.setdefault(closed[v], []).append(v)
+    classes = []
+    for v, nbrs in enumerate(g.adj):
+        twins = by_open[nbrs] if len(by_open[nbrs]) > 1 else by_closed[closed[v]]
+        if twins[0] == v:
+            classes.append(twins)
+    return classes
+
+
+def _class_search(g: Graph, classes, lab, meets):
+    """The class search's ``adj``, ``step``, ``key``, ``room`` and ``fits``,
+    with the classes as nodes 0..len(classes)-1."""
+    cls = [0] * g.n
+    for c, members in enumerate(classes):
+        for v in members:
+            cls[v] = c
+    # held[c][L]: how many vertices of class c have the set labelled L
+    held = [Counter(lab[v] for v in members) for members in classes]
+    holding: dict = {}  # label -> the classes that hold it
+    for c, labels in enumerate(held):
+        for label in labels:
+            holding.setdefault(label, []).append(c)
+    # a true-twin class is among its own neighbours: a step inside it
+    adj = [sorted({cls[u] for u in g.adj[members[0]]}) for members in classes]
+    # a class pairs with itself only through two labels that meet, or one
+    # label that it holds twice
+    lone = {
+        c for c, labels in enumerate(held)
+        if not any(b in meets[a] and (a != b or n > 1) for a, n in labels.items() for b in labels)
+    }
+    step = []
+    for c, nbrs in enumerate(adj):
+        by_class: dict = {}  # the class l back -> the classes d that can pair with it
+        for d in nbrs:
+            for label in held[d]:
+                for meeting in meets[label]:
+                    for back in holding[meeting]:
+                        ds = by_class.setdefault(back, [])
+                        if (not ds or ds[-1] != d) and not (back == d and d in lone):
+                            ds.append(d)
+        step.append({back: ds for back, ds in by_class.items() if ds})
+
+    def fits(p, l: int) -> bool:
+        """Whether the positions of the class walk p can be labelled as the
+        module docstring asks.  A pair whose two classes the walk enters
+        once each takes any meeting labels; the other pairs try every
+        choice."""
+        visits = Counter(p)
+        choices = [
+            [((c, a), (d, b)) for a in held[c] for b in held[d] if b in meets[a]]
+            for c, d in zip(p[:l], p[l:])
+            if visits[c] > 1 or visits[d] > 1
+        ]
+        for choice in product(*choices):
+            count = Counter(x for pair in choice for x in pair)
+            if all(n <= held[c][a] for (c, a), n in count.items()):
+                return True
+        return False
+
+    return adj, step, range(len(classes)), [len(members) for members in classes], fits
+
+
 def _find_repetition(
-    g: Graph, sets, max_vertices: int, walks: bool = False
+    g: Graph, sets, max_vertices: int, budget: Budget | None = None, walks: bool = False
 ) -> RepetitionWitness | None:
     """First (in l, then start vertex, then lexicographic extension order)
     even simple path of at most max_vertices vertices whose positions i and
@@ -68,7 +247,7 @@ def _find_repetition(
     sets = [frozenset(s) for s in sets]
     _check_coloring_size(g, len(sets))
     bound = _even_bound(g, max_vertices, walks)
-    mark = 0 if walks else 1  # the in-path mark; walks leave every vertex free
+    budget = budget or Budget()
     labels: dict = {}
     lab = [labels.setdefault(s, len(labels)) for s in sets]
     holders: dict = {}
@@ -88,66 +267,29 @@ def _find_repetition(
     for start in range(g.n):  # half-length 1: an edge whose ends' sets meet
         for u in step[start].get(lab[start], ()):
             return RepetitionWitness((start, u), (min(sets[start] & sets[u]),))
-    top, best, lo, in_path = bound // 2, None, 1, bytearray(g.n)
-    # one round per cap, the half-lengths lo + 1 .. cap: top / 2^k rounded up
-    for cap in sorted({-(-top >> k) for k in range(top.bit_length())} - {1}):
-        for start in range(g.n):
-            in_path[start] = mark
-            # l, m: half-length and length of the second halves searched, or 0;
-            # base: the frame of their first vertices
-            path, l, m, base, stack = [start], 0, 0, None, [iter(adj[start])]
-            while stack:
-                for u in stack[-1]:
-                    if not in_path[u]:
-                        break
-                else:
-                    if stack.pop() is base:  # every second half of path is done
-                        l = m = 0
-                        if len(path) < cap:
-                            stack.append(iter(adj[path[-1]]))
-                            continue
-                    in_path[path.pop()] = 0
-                    continue
-                d = len(path) + 1  # vertices once u is added
-                if d < m:
-                    nxt = step[u].get(lab[path[d - l]])
-                elif not l:  # a new first half: search its second halves first
-                    nxt = step[u].get(lab[start]) if d > lo else None
-                    if nxt:  # iter(base) is base: base is the frame pushed below
-                        l, m, base = d, 2 * d, iter(nxt)
-                        nxt = base
-                    elif d < cap:
-                        nxt = adj[u]
-                else:  # a repetition of half-length l
-                    p = (*path, u)
-                    if p[:l] == p[l:]:  # a boring walk
-                        continue
-                    half = tuple(min(sets[p[i]] & sets[p[i + l]]) for i in range(l))
-                    best = RepetitionWitness(p, half)
-                    if l - 1 == lo:
-                        return best
-                    cap = l - 1
-                    for v in path[l - 2 :]:
-                        in_path[v] = 0
-                    del path[l - 2 :], stack[l - 2 :]
-                    nxt = l = m = 0
-                if nxt:
-                    path.append(u)
-                    in_path[u] = mark
-                    stack.append(iter(nxt))
-        if best:
-            return best
-        lo = cap
-    return None
+    lo = 1
+    if not walks and len(classes := _twin_classes(g)) < g.n:
+        p = _search(*_class_search(g, classes, lab, meets), lo, bound, budget)
+        if p is None:
+            return None
+        bound = len(p)
+        lo = bound // 2 - 1
+    room = [bound if walks else 1] * g.n
+    p = _search(adj, step, lab, room, _not_boring, lo, bound, budget)
+    if p is None:
+        return None
+    l = len(p) // 2
+    return RepetitionWitness(p, tuple(min(sets[p[i]] & sets[p[i + l]]) for i in range(l)))
 
 
 def find_repetitive_path(
-    g: Graph, colors, max_vertices: int
+    g: Graph, colors, max_vertices: int, *, budget: Budget | None = None
 ) -> RepetitionWitness | None:
     """First (in l, then start-vertex, then lexicographic extension order)
     even simple path of at most max_vertices vertices whose colors form a
-    repetition, or None."""
-    return _find_repetition(g, [(c,) for c in colors], max_vertices)
+    repetition, or None.  Each first half that opens second halves charges
+    the budget one node."""
+    return _find_repetition(g, [(c,) for c in colors], max_vertices, budget)
 
 
 def is_rainbow(pg: ProductGraph, colors) -> bool:
@@ -163,12 +305,12 @@ def is_rainbow(pg: ProductGraph, colors) -> bool:
 
 
 def find_tuple_repetitive_path(
-    g: Graph, sets, max_vertices: int
+    g: Graph, sets, max_vertices: int, *, budget: Budget | None = None
 ) -> RepetitionWitness | None:
     """Tuple-coloring analogue: an even path admits a repetitive choice iff
     the color sets at positions i and i+l intersect for every i (positions
     are distinct vertices, so the choices are independent)."""
-    return _find_repetition(g, sets, max_vertices)
+    return _find_repetition(g, sets, max_vertices, budget)
 
 
 def _charge_walks(g: Graph, max_vertices: int, budget: Budget):
@@ -189,12 +331,13 @@ def is_walk_nonrepetitive(
     vertex-by-vertex) is repetitively colored under every coloring and is
     exempt by definition.  The number of walks of each even length up to the
     bound is charged to the budget up front, length by length; the walk
-    search itself is uncharged."""
+    search then charges it as the path searches do."""
     sets = [(c,) for c in colors]
     _check_coloring_size(g, len(sets))
     bound = _even_bound(g, max_walk_vertices, walks=True)
-    _charge_walks(g, bound, budget or Budget())
-    return _find_repetition(g, sets, bound, walks=True) is None
+    budget = budget or Budget()
+    _charge_walks(g, bound, budget)
+    return _find_repetition(g, sets, bound, budget, walks=True) is None
 
 
 def check_path4_trichotomy(pg: ProductGraph, colors) -> bool:

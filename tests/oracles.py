@@ -34,14 +34,17 @@ def naive_palindrome_free(word):
     return True
 
 
-def all_simple_paths(g):
-    """Every simple path with at least 2 vertices, both orientations."""
+def all_simple_paths(g, max_vertices=None):
+    """Every simple path with at least 2 vertices (and at most max_vertices,
+    if given), both orientations."""
     paths = []
     stack = [[v] for v in range(g.n)]
     while stack:
         path = stack.pop()
         if len(path) >= 2:
             paths.append(tuple(path))
+        if max_vertices is not None and len(path) >= max_vertices:
+            continue
         tail = path[-1]
         for u in g.adj[tail]:
             if u not in path:
@@ -86,7 +89,7 @@ def naive_least_repetitive_path(g, sets, max_vertices):
     half_colors[i] is the least color common to positions i and i+l, or None.
     """
     best = None
-    for path in all_simple_paths(g):
+    for path in all_simple_paths(g, max_vertices):
         m = len(path)
         if m % 2 or m > max_vertices or path[0] > path[-1]:
             continue

@@ -187,6 +187,44 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["walk_nonrepetitive"] is True
 
+    def _rainbow_p24e2(self, capsys, tmp_path):
+        graph, col = tmp_path / "p24e2.json", tmp_path / "c24r.json"
+        run(capsys, "gen", "product", "--base", "path:24", "--inner", "empty",
+            "--k", "2", "--output", str(graph))
+        run(capsys, "color", "path-rainbow", "--n", "24", "--k", "2", "--output", str(col))
+        return str(graph), str(col)
+
+    def test_rainbow_p24e2_exact(self, capsys, tmp_path):
+        # the exact certificate of the rainbow coloring of P_24[E_2]: every
+        # even path of up to 48 vertices
+        graph, col = self._rainbow_p24e2(capsys, tmp_path)
+        code, out, err = run(capsys, "verify", graph, col, "--rainbow", "--exact")
+        assert code == 0
+        d = json.loads(out)
+        assert (d["bound_used"], d["exact"], d["verified"]) == (48, True, True)
+        assert "(exact)" in err
+
+    @pytest.mark.parametrize(
+        "flags", [("--max-nodes", "10"), ("--time-budget", "1e-9")], ids=["nodes", "time"]
+    )
+    def test_budget_exit_3(self, capsys, tmp_path, flags):
+        graph, col = self._rainbow_p24e2(capsys, tmp_path)
+        code, out, err = run(capsys, "verify", graph, col, "--rainbow", "--exact", *flags)
+        assert code == 3
+        assert out == "" and "resource limit" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-nodes", "0"), ("--time-budget", "0"), ("--time-budget", "nan")],
+        ids=["--max-nodes", "--time-budget", "--time-budget-nan"],
+    )
+    def test_zero_budget_exit_2(self, capsys, tmp_path, flag, value):
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 2, "colors": [0, 1, 0]}))
+        code, out, err = run(capsys, "verify", "path:3", str(col), flag, value)
+        assert code == 2
+        assert out == "" and "positive" in err
+
     def test_one_based_coloring_accepted(self, capsys, tmp_path):
         col = tmp_path / "c.json"
         col.write_text(
@@ -494,6 +532,12 @@ class TestSeq:
         code, _, err = run(capsys, "seq", "enumerate", "--len", "22", "--maxrep", "6")
         assert code == 3
         assert "resource limit" in err
+
+    def test_length_beyond_budget_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("THUE_NODE_BUDGET", "10")
+        code, out, err = run(capsys, "seq", "gen", "--len", "10000000")
+        assert code == 3
+        assert out == "" and "10000000 letters" in err
 
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THUE_NODE_BUDGET", "zero")

@@ -279,6 +279,13 @@ class TestNodeBudget:
             search(least - 1)
         assert search(least) is not None
 
+    def test_length_beyond_budget_is_refused_before_allocating(self):
+        # a word of 10^12 letters would need a terabyte of buffers
+        b = Budget(10)
+        with pytest.raises(ResourceLimitError, match="letters"):
+            gen_nonrepetitive(3, 10**12, budget=b)
+        assert b.spent == 0
+
     def test_exhaustion_needs_full_budget(self):
         with pytest.raises(ResourceLimitError):
             gen_nonrepetitive(3, 6, True, budget=Budget(83))

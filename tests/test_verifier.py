@@ -24,6 +24,7 @@ from thuelex import (
     build_path,
     c7_fractional_example,
     check_path4_trichotomy,
+    color_path_complete,
     color_path_empty,
     color_path_rainbow,
     find_repetitive_path,
@@ -176,6 +177,143 @@ class TestWitnessOrder:
             for bound in range(2, g.n + 3, 2):
                 got = find_tuple_repetitive_path(g, sets, bound)
                 assert _as_found(got) == naive_least_repetitive_path(g, sets, bound)
+
+
+def _star(leaves):
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+# K_{2,3}: the two vertices of one side are false twins, and so are the three
+# of the other
+_K23 = Graph.from_edges(5, [(a, b) for a in range(2) for b in range(2, 5)])
+
+# (base, inner, k) with at most 14 vertices and few enough simple paths for
+# the oracle.  The ends of P_3, the leaves of a star and the sides of K_{2,3}
+# are twins, so their layers merge into one class.
+_TWIN_PRODUCTS = [
+    (build_path(3), EMPTY, 1),
+    (_star(4), EMPTY, 1),
+    (_K23, EMPTY, 1),
+    (build_path(3), EMPTY, 2),
+    (build_path(3), EMPTY, 3),
+    (build_path(3), COMPLETE, 2),
+    (build_path(3), COMPLETE, 3),
+    (build_path(4), EMPTY, 2),
+    (build_path(4), COMPLETE, 2),
+    (build_path(5), EMPTY, 2),
+    (build_path(5), COMPLETE, 2),
+    (_star(3), EMPTY, 2),
+    (_star(3), EMPTY, 3),
+    (_star(3), COMPLETE, 2),
+    (_star(4), EMPTY, 2),
+    (_star(4), COMPLETE, 2),
+    (_K23, EMPTY, 2),
+    (build_cycle(4), EMPTY, 2),
+    (build_cycle(4), COMPLETE, 2),
+    (build_cycle(5), EMPTY, 2),
+]
+
+
+class TestTwinClasses:
+    """Graphs with twins run the class search, then the vertex search on the
+    least half-length it finds; the witness must be the oracle's at every
+    even bound.  The oracle runs once per colouring, at |V|: its answer at a
+    smaller bound is the same path if that path fits, else None."""
+
+    MODES = ["plain", "rainbow", "tuple"]
+
+    def _check(self, g, sets, mode):
+        least = naive_least_repetitive_path(g, sets, g.n)
+        for bound in range(2, g.n + 3, 2):
+            if mode == "tuple":
+                got = find_tuple_repetitive_path(g, sets, bound)
+            else:
+                got = find_repetitive_path(g, [c for (c,) in sets], bound)
+            want = least if least and len(least[0]) <= bound else None
+            assert _as_found(got) == want, (g, sets, bound)
+        return 0 if least is None else len(least[0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_products_match_oracle(self, mode):
+        """Colors avoid the colors of earlier neighbours where they can;
+        rainbow ones also those of earlier vertices of the same layer, and
+        tuple sets hold one or two colors."""
+        rng = random.Random(23)
+        for base, inner, k in _TWIN_PRODUCTS:
+            g = lex_product(base, inner, k).view
+            for _ in range(2):
+                q = rng.randint(k + 1, 3 * k + 1)
+                sets = []
+                for v in range(g.n):
+                    used = {c for u in g.adj[v] if u < v for c in sets[u]}
+                    if mode == "rainbow":
+                        used |= {c for u in range(v - v % k, v) for c in sets[u]}
+                    free = sorted(set(range(q)) - used) or list(range(q))
+                    size = rng.randint(1, 2) if mode == "tuple" else 1
+                    sets.append(tuple(rng.sample(free, min(size, len(free)))))
+                self._check(g, sets, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_long_witnesses_match_oracle(self, mode):
+        """P_n[E_k] and P_n[K_k] whose layers have distinct letters but for a
+        planted square of letters, of period 0 to n / 2.  Layer b gets the
+        colors letter_b * k + j, shuffled.  Plain layers sometimes repeat a
+        color, and tuple sets add the color (letter_b + n) * k + (j + 1) % k."""
+        rng = random.Random(29)
+        lengths = set()
+        for n, inner, k in [(3, EMPTY, 3), (5, COMPLETE, 2), (6, EMPTY, 2), (7, EMPTY, 2)]:
+            g = lex_product(build_path(n), inner, k).view
+            for _ in range(4):
+                letters = list(range(n))
+                l = rng.randint(0, n // 2)
+                s = rng.randrange(n - 2 * l + 1)
+                letters[s + l : s + 2 * l] = letters[s : s + l]
+                sets = []
+                for b in range(n):
+                    for j in rng.sample(range(k), k):
+                        if mode == "plain" and rng.random() < 0.2:
+                            j = rng.randrange(k)
+                        c = letters[b] * k + j
+                        shadow = (letters[b] + n) * k + (j + 1) % k
+                        sets.append((c, shadow) if mode == "tuple" else (c,))
+                lengths.add(self._check(g, sets, mode))
+        assert {0, 6} <= lengths, lengths
+
+    def test_label_clash(self):
+        # P_7[E_2], layers colored {0,1} {2,3} {4,5} {2,6} {0,7} {2,8} {4,9}.
+        # The class walk of layers 1 0 1 2 3 4 5 6 pairs every position with
+        # a layer of a shared color, but both visits to layer 1 need its one
+        # vertex of color 2: no path carries that repetition, nor any other
+        g = lex_product(build_path(7), EMPTY, 2).view
+        colors = (0, 1, 2, 3, 4, 5, 2, 6, 0, 7, 2, 8, 4, 9)
+        for bound in range(2, 16, 2):
+            assert find_repetitive_path(g, colors, bound) is None
+        assert naive_least_repetitive_path(g, [(c,) for c in colors], 14) is None
+
+    def test_round_schedule_witness(self):
+        # copying layers 7..10 of P_16[K_2] onto 11..14 plants an 8-vertex
+        # least witness, found in the bound-12 round of half-lengths 4..6.
+        # The oracle runs at bound 8 only: the least witness has 8 vertices,
+        # so it is also the least at bound 12.
+        pg = lex_product(build_path(16), COMPLETE, 2)
+        colors = list(color_path_complete(16, 2).colors)
+        colors[22:30] = colors[14:22]
+        got = find_repetitive_path(pg.view, colors, 12)
+        want = naive_least_repetitive_path(pg.view, [(c,) for c in colors], 8)
+        assert len(want[0]) == 8
+        assert _as_found(got) == want
+
+    @pytest.mark.parametrize("b", [13, 16, 17])
+    def test_round_schedule_p30k3(self, b):
+        # the same copy in P_30[K_3]: too dense for the oracle, so the
+        # witness is re-checked and its length is shown to be least
+        pg = lex_product(build_path(30), COMPLETE, 3)
+        colors = list(color_path_complete(30, 3).colors)
+        colors[(b + 4) * 3 : (b + 8) * 3] = colors[b * 3 : (b + 4) * 3]
+        w = find_repetitive_path(pg.view, colors, 12)
+        check_witness(pg.view, colors, w)
+        assert len(w.path) == 8
+        assert find_repetitive_path(pg.view, colors, 6) is None
 
 
 class TestLongPaths:
