@@ -5,16 +5,43 @@ One engine, ``_search``, serves every mode: it gives each vertex a p-subset
 of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
 plain color c is the mask 1 << c).  Vertices are assigned in a fixed order
 (BFS from vertex 0, or whole layers for rainbow searches), so the colored set
-is always a prefix of that order.  All even simple paths, and for rainbow
-searches every pair of vertices in one layer, are enumerated up front, once
-per public call, and bucketed by their last vertex in assignment order; an
-optimum search shares these constraints across every palette size up to n.
-When a vertex is (re)assigned, exactly the constraints completed by it need
-rechecking, each as a flat list of positions whose masks must not all meet.
-Value symmetry is broken by allowing fresh colors only as the block right
-above the largest color used; ascending-q optimum searches make the dominant
-infeasibility proofs as small as possible.  Budget exhaustion raises
-ResourceLimitError, which ``_solve`` catches once.
+is always a prefix of that order.  The constraints are even simple paths,
+and for rainbow searches every pair of vertices in one layer, bucketed by
+their last vertex in assignment order.  When a vertex is (re)assigned,
+exactly the constraints completed by it need rechecking, each as a flat list
+of positions whose masks must not all meet.  Value symmetry is broken by
+allowing fresh colors only as the block right above the largest color used;
+ascending-q optimum searches make the dominant infeasibility proofs as small
+as possible.  Budget exhaustion raises ResourceLimitError, which ``_solve``
+catches once.
+
+Palette sizes are decided on a ladder of path bounds L = 4, 8, 16, ...:
+1. The constraints are the layer pairs and the even paths of at most L
+   vertices.  They are built when the rung changes and shared by every
+   palette size after it.
+2. When ``_search`` finds no coloring under them, q is infeasible: they are
+   a relaxation of the full problem.
+3. When it finds one and L covers every even path, that is the answer.
+   Otherwise ``find_tuple_repetitive_path`` checks it exactly at |V| rounded
+   down to even (a plain color c is the set {c}).  A coloring that passes
+   is the answer.  One that fails sends the search to the next rung; when
+   that rung's enumeration would charge more than ``_RUNG_NODE_CAP`` nodes,
+   the solver stays on its rung for good and adds the exact check's witness,
+   a repetitive path, to its bucket as a lazy cut.  Either way it searches
+   again from the start.
+The exact checks and the enumerations, abandoned ones too, are charged to
+the one budget.
+
+The answers are those of a search over every even path.  ``_search`` tries
+candidates in one fixed order and prunes a prefix only when a constraint
+inside it is violated, so under any set of constraints it returns the first
+complete coloring, in that order, that violates none of them.  Every rung
+and every cut is a valid constraint: a path of the graph, or a layer pair,
+that no nonrepetitive coloring violates.  So the full problem's first
+coloring is never pruned, and every coloring before it that a rung lets
+through is repetitive and fails the exact check; the first coloring that
+passes is the full problem's first.  The status, value and witness are
+therefore unchanged; ``nodes_explored`` is not.
 """
 
 from __future__ import annotations
@@ -25,10 +52,16 @@ from itertools import combinations
 from .colorings import Coloring, TupleColoring
 from .errors import Budget, ResourceLimitError
 from .graphs import Graph, ProductGraph
+from .verifier import find_tuple_repetitive_path
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower_bound_only"
 STATUS_TIMEOUT = "timeout"
+
+# The ladder's first path bound, and the most nodes a rung's enumeration may
+# charge before the solver stays on the rung it has and cuts lazily instead.
+_FIRST_RUNG = 4
+_RUNG_NODE_CAP = 131_072
 
 
 @dataclass(frozen=True)
@@ -40,8 +73,9 @@ class SolveResult:
     an optimum search proved value >= ``value`` before running out of budget.
     "timeout": a single feasibility decision ran out of budget.
     ``nodes_explored`` is what this call charged to its budget: the color
-    assignments tried plus the path extensions made while enumerating the
-    constraints (one node per vertex added to a path).
+    assignments tried, the path extensions made while enumerating the
+    constraints of each rung (one node per vertex added to a path), and the
+    nodes of the verifier's exact checks.
     """
 
     status: str
@@ -76,12 +110,13 @@ def _path_buckets(
     budget: Budget,
     order: list[int] | None = None,
     layer_pairs=(),
+    max_vertices: int | None = None,
 ) -> tuple[list[int], list[list[tuple]]]:
     """The assignment order (BFS unless given) and, for it, all even simple
-    paths as flat (a0,b0,a1,b1,...) agreement-pair tuples, plus the
-    ``layer_pairs`` of vertices that must not share a color, bucketed by the
-    rank at which they complete.  Built once per public call and shared by every palette
-    size.
+    paths of at most max_vertices vertices (default: all) as flat
+    (a0,b0,a1,b1,...) agreement-pair tuples, plus the ``layer_pairs`` of
+    vertices that must not share a color, bucketed by the rank at which
+    they complete.
 
     The enumeration itself is charged against the budget (one unit per path
     extension) so oversized inputs run out of budget instead of hanging."""
@@ -91,6 +126,7 @@ def _path_buckets(
     for r, v in enumerate(order):
         rank[v] = r
     buckets: list[list[tuple]] = [[] for _ in range(g.n)]
+    limit = g.n if max_vertices is None else min(max_vertices, g.n)
     adj = g.adj
     in_path = bytearray(g.n)
     charge = budget.charge
@@ -99,7 +135,7 @@ def _path_buckets(
         path = [start]
         top = [rank[start]]  # top[d]: largest rank among path[0..d]
         in_path[start] = 1
-        stack = [iter(adj[start])]
+        stack = [iter(adj[start] if limit > 1 else ())]
         while stack:
             for u in stack[-1]:
                 if not in_path[u]:
@@ -121,9 +157,12 @@ def _path_buckets(
                 pairs[0::2] = path[:l]
                 pairs[1::2] = path[l:]
                 buckets[t].append(tuple(pairs))
-            top.append(t)
-            in_path[u] = 1
-            stack.append(iter(adj[u]))
+            if m < limit:
+                top.append(t)
+                in_path[u] = 1
+                stack.append(iter(adj[u]))
+            else:
+                path.pop()
     for u, v in layer_pairs:
         buckets[max(rank[u], rank[v])].append((u, v))
     for lst in buckets:
@@ -217,22 +256,59 @@ def _rainbow(pg: ProductGraph) -> dict:
     }
 
 
+def _rung(g: Graph, budget: Budget, rung: int, paths: dict):
+    """The constraints of the ladder rung of at most ``rung`` vertices, or
+    None when enumerating them would charge more than ``_RUNG_NODE_CAP``
+    nodes.  The nodes an abandoned enumeration charged are charged to the
+    budget all the same, and when it is the budget that runs out, its
+    ResourceLimitError is raised."""
+    trial = Budget(min(_RUNG_NODE_CAP, budget.max_nodes - budget.spent))
+    trial.deadline = budget.deadline
+    try:
+        constraints = _path_buckets(g, trial, max_vertices=rung, **paths)
+    except ResourceLimitError:
+        constraints = None
+    budget.charge(trial.spent)
+    return constraints
+
+
 def _solve(
     g: Graph, p: int, palettes, budget: Budget | None, symmetry_breaking=True, **paths
 ) -> tuple[int | None, list[tuple[int, ...]] | None, int]:
-    """What every entry point runs: build the constraints (``paths`` goes to
-    ``_path_buckets``), then search the palette sizes in order, all charged
+    """What every entry point runs: search the palette sizes in order on the
+    ladder of path bounds (``paths`` goes to ``_path_buckets``), all charged
     to one budget (a fresh ``Budget()`` for None).  Returns (q, sets, nodes):
     the first feasible q and its sets; q = None when every size is
     infeasible; sets = None with the q being decided when the budget ran
     out; nodes is what this call charged."""
     budget = budget or Budget()
     before = budget.spent
+    full = g.n - g.n % 2  # the exact check's bound: every even path
     q, sets = palettes[0], None
     try:
-        constraints = _path_buckets(g, budget, **paths)
+        rung, capped = _FIRST_RUNG, False
+        order, buckets = _path_buckets(g, budget, max_vertices=rung, **paths)
         for q in palettes:
-            sets = _search(p, q, budget, constraints, symmetry_breaking=symmetry_breaking)
+            while True:
+                got = _search(p, q, budget, (order, buckets), symmetry_breaking=symmetry_breaking)
+                if got is None:
+                    break
+                # below the full bound a relaxation's coloring needs the exact check
+                found = None
+                if rung < full:
+                    found = find_tuple_repetitive_path(g, got, full, budget=budget)
+                if found is None:
+                    sets = got
+                    break
+                climbed = not capped and _rung(g, budget, 2 * rung, paths)
+                if climbed:
+                    rung *= 2
+                    order, buckets = climbed
+                else:  # stay on this rung and cut off the witness
+                    capped = True
+                    path, l = found.path, len(found.path) // 2
+                    cut = tuple(v for pair in zip(path[:l], path[l:]) for v in pair)
+                    buckets[max(map(order.index, path))].append(cut)
             if sets is not None:
                 break
         else:
@@ -263,7 +339,7 @@ def _decide(
 
 def _least_palette(g: Graph, first: int, budget: Budget | None, **engine) -> SolveResult:
     """Smallest palette size >= first admitting a coloring, by ascending
-    search over one shared set of path constraints up to q = max(n, first)
+    search over one shared ladder of path constraints up to q = max(n, first)
     (distinct colors everywhere always work); exact only when feasibility at q and
     infeasibility below q both are."""
     cap = max(g.n, first)

@@ -100,6 +100,31 @@ def naive_least_repetitive_path(g, sets, max_vertices):
     return best
 
 
+def halves_repetitive_path_exists(g, colors):
+    """Any even simple path x_1..x_2l with colors[x_i] == colors[x_(i+l)]
+    for every i?  For graphs with too many paths to list: the two halves
+    grow together, one position each, from every pair of distinct vertices
+    of one color, and only extensions by another such pair are kept, so a
+    pair of halves that already disagrees is never extended."""
+    for l in range(1, g.n // 2 + 1):
+        stack = [
+            ((a,), (b,)) for a in range(g.n) for b in range(g.n)
+            if a != b and colors[a] == colors[b]
+        ]
+        while stack:
+            first, second = stack.pop()
+            if len(first) == l:
+                if second[0] in g.adj[first[-1]]:
+                    return True
+                continue
+            used = set(first) | set(second)
+            for a in g.adj[first[-1]]:
+                for b in g.adj[second[-1]]:
+                    if a != b and a not in used and b not in used and colors[a] == colors[b]:
+                        stack.append((first + (a,), second + (b,)))
+    return False
+
+
 def naive_tuple_repetitive_path_exists(g, sets):
     """Expand every per-position color choice of every even simple path."""
     for path in all_simple_paths(g):

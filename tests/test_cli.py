@@ -9,8 +9,9 @@ from thuelex import (
     gen_nonrepetitive,
     lex_product,
 )
-from thuelex import sequences
+from thuelex import sequences, solver
 from thuelex.cli import main
+from thuelex.errors import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -357,6 +358,35 @@ class TestSolve:
         )
         assert code == 3
         assert json.loads(out)["status"] == "lower_bound_only"
+
+    def test_budget_runs_out_inside_an_exact_check(self, capsys, tmp_path, monkeypatch):
+        """The budget lets the ladder reach its first exact check and runs
+        out inside it; the nodes reported include the verifier's."""
+        graph = tmp_path / "g.json"
+        run(capsys, "gen", "product", "--base", "path:6", "--inner", "empty",
+            "--k", "2", "--output", str(graph))
+        calls = []
+        check = solver.find_tuple_repetitive_path
+
+        def record(g, sets, max_vertices, *, budget):
+            calls.append(budget.spent)
+            try:
+                return check(g, sets, max_vertices, budget=budget)
+            except ResourceLimitError:
+                calls.append("ran out")
+                raise
+
+        monkeypatch.setattr(solver, "find_tuple_repetitive_path", record)
+        run(capsys, "solve", str(graph), "--mode", "thue")
+        limit = calls[0] + 1
+        calls.clear()
+        code, out, _ = run(
+            capsys, "solve", str(graph), "--mode", "thue", "--max-nodes", str(limit)
+        )
+        assert code == 3
+        d = json.loads(out)
+        assert (d["status"], d["value"], d["nodes_explored"]) == ("lower_bound_only", 5, limit + 1)
+        assert calls == [limit - 1, "ran out"]
 
     def test_long_path_enumeration_times_out_exit_3(self, capsys):
         # deeper than Python's recursion limit

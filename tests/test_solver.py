@@ -1,8 +1,9 @@
 from itertools import product
+from random import Random
 
 import pytest
 
-from oracles import naive_repetitive_path_exists
+from oracles import halves_repetitive_path_exists, naive_repetitive_path_exists
 from thuelex import (
     COMPLETE,
     EMPTY,
@@ -22,6 +23,7 @@ from thuelex import (
     rainbow_thue_number,
     thue_number,
 )
+from thuelex import solver
 from thuelex.errors import Budget, ResourceLimitError
 
 SMALL = [
@@ -174,19 +176,20 @@ class TestTuple:
 
 P6E2 = lex_product(build_path(6), EMPTY, 2)
 
-# (call, status, value, nodes_explored), recorded before the plain, rainbow
-# and tuple searches were merged into one engine; any change to candidate
-# order or budget charging shows up here.
+# (call, status, value, nodes_explored).  The statuses and values were
+# recorded before the plain, rainbow and tuple searches were merged into one
+# engine, the node counts on the ladder of path bounds; any change to
+# candidate order, the ladder or budget charging shows up here.
 PINNED = [
-    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 10430),
-    (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 198),
-    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1242),
-    (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 62),
-    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 107),
-    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 45),
-    (lambda: exists_coloring(P6E2.view, 5, Budget(1000)), "timeout", None, 1001),
-    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 127662),
-    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(1000)), "timeout", None, 1001),
+    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 510),
+    (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 108),
+    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1362),
+    (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 52),
+    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 185),
+    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 43),
+    (lambda: exists_coloring(P6E2.view, 5, Budget(400)), "timeout", None, 401),
+    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 14871),
+    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(400)), "timeout", None, 401),
 ]
 
 
@@ -228,14 +231,14 @@ class TestBudget:
 
     def test_shared_budget(self):
         """Each call reports the nodes it charged; the third runs out."""
-        b = Budget(300)
+        b = Budget(600)
         got = [thue_number(build_path(10), b) for _ in range(3)]
         assert [(r.status, r.value, r.nodes_explored) for r in got] == [
-            ("exact", 3, 131),
-            ("exact", 3, 131),
-            ("lower_bound_only", 1, 39),
+            ("exact", 3, 256),
+            ("exact", 3, 256),
+            ("lower_bound_only", 3, 89),
         ]
-        assert b.spent == 301
+        assert b.spent == 601
 
     def test_refused_sweeps_charge_their_projection(self):
         b = Budget(10)
@@ -250,9 +253,9 @@ class TestBudget:
 
 
 class TestSharedConstraints:
-    """Optimum searches enumerate the path constraints once and reuse them
-    for every palette size; the answers must be those of a fresh
-    feasibility call at the optimum."""
+    """Optimum searches share one ladder of path constraints across every
+    palette size; the answers must be those of a fresh feasibility call at
+    the optimum."""
 
     PRODUCTS = [
         (f"P{n}{tag}2", lex_product(build_path(n), inner, 2))
@@ -302,3 +305,131 @@ class TestLemma1Star:
         pg = lex_product(star, EMPTY, 2)
         colors = (0, 0, 1, 2, 3, 4, 5, 1)  # center layer repeats, 6 colors
         assert naive_repetitive_path_exists(pg.view, colors)
+
+
+def _full_enumeration(g, p, palettes, symmetry_breaking=True, **paths):
+    """The first palette size with a solution and its sets, searched over
+    every even path of g at once (no ladder), or (None, None)."""
+    constraints = solver._path_buckets(g, Budget(), **paths)
+    for q in palettes:
+        sets = solver._search(p, q, Budget(), constraints, symmetry_breaking=symmetry_breaking)
+        if sets is not None:
+            return q, sets
+    return None, None
+
+
+def _ladder_cases():
+    """(id, case) pairs; each case returns the ladder's (value, witness
+    cells) and those of ``_full_enumeration``."""
+    def plain(g):
+        r = thue_number(g)
+        assert r.status == "exact"
+        q, sets = _full_enumeration(g, 1, range(1, g.n + 1))
+        return (r.value, r.witness.colors), (q, tuple(c for (c,) in sets))
+
+    def rainbow(pg):
+        r = rainbow_thue_number(pg)
+        assert r.status == "exact"
+        q, sets = _full_enumeration(pg.view, 1, range(pg.k, pg.view.n + 1), **solver._rainbow(pg))
+        return (r.value, r.witness.colors), (q, tuple(c for (c,) in sets))
+
+    def tuples(g, p, q):
+        r = exists_tuple_coloring(g, p, q)
+        assert r.status == "exact"
+        got, sets = _full_enumeration(g, p, [q])
+        return (
+            (r.value, r.witness and r.witness.sets),
+            (got is not None, sets and tuple(sets)),
+        )
+
+    def unbroken(g, q):
+        r = exists_coloring(g, q, symmetry_breaking=False)
+        assert r.status == "exact"
+        got, sets = _full_enumeration(g, 1, [q], symmetry_breaking=False)
+        full = (got is not None, sets and tuple(c for (c,) in sets))
+        return (r.value, r.witness and r.witness.colors), full
+
+    cases = [(f"thue-{name}", lambda g=g: plain(g)) for name, g in SMALL]
+    cases += [
+        (f"unbroken-{name}-{q}", lambda g=g, q=q: unbroken(g, q))
+        for name, g in SMALL
+        for q in (2, 3, 4)
+    ]
+    for n in range(1, 7):
+        for inner, tag in ((EMPTY, "E"), (COMPLETE, "K")):
+            pg = lex_product(build_path(n), inner, 2)
+            cases.append((f"thue-P{n}{tag}2", lambda pg=pg: plain(pg.view)))
+            cases.append((f"rainbow-P{n}{tag}2", lambda pg=pg: rainbow(pg)))
+    for n in range(3, 11):
+        for p, q in ((2, 5), (2, 6), (2, 7), (3, 8)):
+            case = lambda n=n, p=p, q=q: tuples(build_cycle(n), p, q)
+            cases.append((f"tuple-C{n}-{p}-{q}", case))
+    return cases
+
+
+LADDER_CASES = _ladder_cases()
+
+
+class TestLadder:
+    """The ladder of path bounds gives the answers of a search over every
+    even path: the same value and witness, climbing rungs or, with no room
+    to climb, cutting lazily on the first rung."""
+
+    @pytest.mark.parametrize("cap", [solver._RUNG_NODE_CAP, 0], ids=["climb", "cut"])
+    @pytest.mark.parametrize("case", [c for _, c in LADDER_CASES], ids=[i for i, _ in LADDER_CASES])
+    def test_matches_full_enumeration(self, case, cap, monkeypatch):
+        monkeypatch.setattr(solver, "_RUNG_NODE_CAP", cap)
+        ladder, full = case()
+        assert ladder == full
+
+    def test_p12e2_thue_number(self):
+        g = lex_product(build_path(12), EMPTY, 2).view
+        r = thue_number(g)
+        assert (r.status, r.value) == ("exact", 5)
+        assert not halves_repetitive_path_exists(g, r.witness.colors)
+
+    @staticmethod
+    def _checked_bounds(monkeypatch):
+        bounds = []
+        check = solver.find_tuple_repetitive_path
+
+        def record(g, sets, max_vertices, *, budget):
+            bounds.append(max_vertices)
+            return check(g, sets, max_vertices, budget=budget)
+
+        monkeypatch.setattr(solver, "find_tuple_repetitive_path", record)
+        return bounds
+
+    @pytest.mark.parametrize("g", [build_path(1), build_complete(1), Graph.from_edges(0, [])])
+    def test_no_even_path_skips_the_check(self, g, monkeypatch):
+        with pytest.raises(ValueError):
+            find_repetitive_path(g, [0] * g.n, 0)
+        bounds = self._checked_bounds(monkeypatch)
+        assert thue_number(g).status == "exact"
+        assert exists_tuple_coloring(g, 1, 2).value is True
+        assert bounds == []
+
+    @pytest.mark.parametrize("g", [build_path(7), build_cycle(9), build_path(8)])
+    def test_checks_at_every_even_path(self, g, monkeypatch):
+        """The exact check's bound is |V| rounded down to even."""
+        bounds = self._checked_bounds(monkeypatch)
+        assert thue_number(g).status == "exact"
+        assert bounds and set(bounds) == {g.n - g.n % 2}
+
+
+class TestHalvesOracle:
+    def test_agrees_with_every_path(self):
+        rng = Random(12)
+        graphs = [g for _, g in SMALL] + [
+            lex_product(build_path(n), inner, 2).view
+            for n in (2, 3, 4)
+            for inner in (EMPTY, COMPLETE)
+        ]
+        seen = set()
+        for g in graphs:
+            for _ in range(40):
+                colors = [rng.randrange(g.n) for _ in range(g.n)]
+                got = halves_repetitive_path_exists(g, colors)
+                assert got == naive_repetitive_path_exists(g, colors), (g.adj, colors)
+                seen.add(got)
+        assert seen == {True, False}
