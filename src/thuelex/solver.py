@@ -5,43 +5,43 @@ One engine, ``_search``, serves every mode: it gives each vertex a p-subset
 of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
 plain color c is the mask 1 << c).  Vertices are assigned in a fixed order
 (BFS from vertex 0, or whole layers for rainbow searches), so the colored set
-is always a prefix of that order.  The constraints are even simple paths,
-and for rainbow searches every pair of vertices in one layer, bucketed by
-their last vertex in assignment order.  When a vertex is (re)assigned,
-exactly the constraints completed by it need rechecking, each as a flat list
-of positions whose masks must not all meet.  Value symmetry is broken by
+is always a prefix of that order.  The constraints are paths as flat lists of
+agreement pairs, positions whose masks must not all meet, bucketed by their
+largest rank in assignment order; when a vertex is (re)assigned, exactly the
+constraints completed by it need rechecking.  Value symmetry is broken by
 allowing fresh colors only as the block right above the largest color used;
 ascending-q optimum searches make the dominant infeasibility proofs as small
 as possible.  Budget exhaustion raises ResourceLimitError, which ``_solve``
 catches once.
 
-Palette sizes are decided on a ladder of path bounds L = 4, 8, 16, ...:
-1. The constraints are the layer pairs and the even paths of at most L
-   vertices.  They are built when the rung changes and shared by every
-   palette size after it.
-2. When ``_search`` finds no coloring under them, q is infeasible: they are
+The verifier is the only source of longer paths (lazy cuts):
+1. The starting constraints are the edges, the 2-vertex paths, and for
+   rainbow searches every pair of vertices in one layer.  They are built once
+   per call and shared by every palette size, as is every cut added to them.
+2. Each complete coloring is checked by ``find_tuple_repetitive_path`` at
+   |V| rounded down to even (a plain color c is the set {c}); a graph of
+   fewer than 2 vertices has no even path and is not checked.  A coloring
+   that passes is the answer.
+3. The witness of one that fails, a repetitive path, is added as a cut to
+   the bucket of its largest rank r, and the search resumes at rank r with
+   the candidate placed there, which the cut now rejects.
+4. When ``_search`` finds no coloring, q is infeasible: its constraints are
    a relaxation of the full problem.
-3. When it finds one and L covers every even path, that is the answer.
-   Otherwise ``find_tuple_repetitive_path`` checks it exactly at |V| rounded
-   down to even (a plain color c is the set {c}).  A coloring that passes
-   is the answer.  One that fails sends the search to the next rung; when
-   that rung's enumeration would charge more than ``_RUNG_NODE_CAP`` nodes,
-   the solver stays on its rung for good and adds the exact check's witness,
-   a repetitive path, to its bucket as a lazy cut.  Either way it searches
-   again from the start.
-The exact checks and the enumerations, abandoned ones too, are charged to
-the one budget.
+The exact checks are charged to the one budget.
 
 The answers are those of a search over every even path.  ``_search`` tries
 candidates in one fixed order and prunes a prefix only when a constraint
-inside it is violated, so under any set of constraints it returns the first
-complete coloring, in that order, that violates none of them.  Every rung
-and every cut is a valid constraint: a path of the graph, or a layer pair,
-that no nonrepetitive coloring violates.  So the full problem's first
-coloring is never pruned, and every coloring before it that a rung lets
-through is repetitive and fails the exact check; the first coloring that
-passes is the full problem's first.  The status, value and witness are
-therefore unchanged; ``nodes_explored`` is not.
+inside it is violated, so it meets complete colorings in that order and
+returns the first that violates no constraint and passes the check.  Every
+cut is a path of the graph that no nonrepetitive coloring makes repetitive,
+so the full problem's first coloring is never pruned, and every complete
+coloring before it that the constraints let through is repetitive and fails
+the check.  Resuming at rank r skips only colorings that match the rejected
+one on ranks <= r, and each of those violates the cut, whose vertices all
+have rank <= r.  So the first coloring that passes is the full problem's
+first.  The search only moves forward in that order, so it ends.  The
+status, value and witness are therefore unchanged; ``nodes_explored`` is
+not.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower_bound_only"
 STATUS_TIMEOUT = "timeout"
 
-# The ladder's first path bound, and the most nodes a rung's enumeration may
-# charge before the solver stays on the rung it has and cuts lazily instead.
-_FIRST_RUNG = 4
-_RUNG_NODE_CAP = 131_072
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -73,9 +68,7 @@ class SolveResult:
     an optimum search proved value >= ``value`` before running out of budget.
     "timeout": a single feasibility decision ran out of budget.
     ``nodes_explored`` is what this call charged to its budget: the color
-    assignments tried, the path extensions made while enumerating the
-    constraints of each rung (one node per vertex added to a path), and the
-    nodes of the verifier's exact checks.
+    assignments tried and the nodes of the verifier's exact checks.
     """
 
     status: str
@@ -105,71 +98,6 @@ def bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _path_buckets(
-    g: Graph,
-    budget: Budget,
-    order: list[int] | None = None,
-    layer_pairs=(),
-    max_vertices: int | None = None,
-) -> tuple[list[int], list[list[tuple]]]:
-    """The assignment order (BFS unless given) and, for it, all even simple
-    paths of at most max_vertices vertices (default: all) as flat
-    (a0,b0,a1,b1,...) agreement-pair tuples, plus the ``layer_pairs`` of
-    vertices that must not share a color, bucketed by the rank at which
-    they complete.
-
-    The enumeration itself is charged against the budget (one unit per path
-    extension) so oversized inputs run out of budget instead of hanging."""
-    if order is None:
-        order = bfs_order(g)
-    rank = [0] * g.n
-    for r, v in enumerate(order):
-        rank[v] = r
-    buckets: list[list[tuple]] = [[] for _ in range(g.n)]
-    limit = g.n if max_vertices is None else min(max_vertices, g.n)
-    adj = g.adj
-    in_path = bytearray(g.n)
-    charge = budget.charge
-    for start in range(g.n):
-        charge()
-        path = [start]
-        top = [rank[start]]  # top[d]: largest rank among path[0..d]
-        in_path[start] = 1
-        stack = [iter(adj[start] if limit > 1 else ())]
-        while stack:
-            for u in stack[-1]:
-                if not in_path[u]:
-                    break
-            else:
-                stack.pop()
-                in_path[path.pop()] = 0
-                top.pop()
-                continue
-            charge()
-            path.append(u)
-            t = top[-1]
-            if rank[u] > t:
-                t = rank[u]
-            m = len(path)
-            if m % 2 == 0 and start < u:
-                l = m // 2
-                pairs = [0] * m
-                pairs[0::2] = path[:l]
-                pairs[1::2] = path[l:]
-                buckets[t].append(tuple(pairs))
-            if m < limit:
-                top.append(t)
-                in_path[u] = 1
-                stack.append(iter(adj[u]))
-            else:
-                path.pop()
-    for u, v in layer_pairs:
-        buckets[max(rank[u], rank[v])].append((u, v))
-    for lst in buckets:
-        lst.sort(key=len)
-    return order, buckets
-
-
 def _tuple_candidates(maxused: int, p: int, q: int) -> list[tuple[int, tuple[int, ...]]]:
     """Canonical p-subsets available when colors 0..maxused are in use: any
     number of fresh colors must form the consecutive block right above
@@ -190,18 +118,30 @@ def _tuple_candidates(maxused: int, p: int, q: int) -> list[tuple[int, tuple[int
 
 
 def _search(
-    p: int, q: int, budget: Budget, constraints: tuple, *, symmetry_breaking: bool = True
+    p: int,
+    q: int,
+    budget: Budget,
+    order: list[int],
+    buckets: list[list[tuple]],
+    check,
+    *,
+    symmetry_breaking: bool = True,
 ) -> list[tuple[int, ...]] | None:
     """The one assignment engine: gives every vertex a p-subset of 0..q-1
     (p = 1 for plain and rainbow colorings), returned per vertex, or None
-    when no assignment meets the constraints.
+    when no assignment meets the constraints and passes ``check``.
 
-    ``constraints`` is the (order, buckets) pair from ``_path_buckets``.
-    Candidates at rank r are ``_tuple_candidates(maxused[r], p, q)``, or
-    every p-subset when symmetry breaking is off.  Each candidate tried costs
-    one node of the budget."""
-    order, buckets = constraints
+    ``buckets[r]`` holds the flat-pairs constraints whose largest rank in
+    ``order`` is r.  ``check(sets)`` returns None for a complete assignment
+    it accepts, else a witness whose path is added to ``buckets`` as a cut;
+    the search then resumes at the cut's largest rank.  Candidates at rank r
+    are ``_tuple_candidates(maxused[r], p, q)``, or every p-subset when
+    symmetry breaking is off.  Each candidate tried costs one node of the
+    budget."""
     n = len(order)
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
     cand_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     masks = [0] * n
     placed: list[tuple[int, ...]] = [()] * n
@@ -209,7 +149,18 @@ def _search(
     maxused = [-1] * (n + 1)
     charge = budget.charge
     r = 0
-    while r < n:
+    while True:
+        if r == n:
+            # back from assignment order to vertex order
+            sets = [s for _, s in sorted(zip(order, placed))]
+            found = check(sets)
+            if found is None:
+                return sets
+            path = found.path
+            l = len(path) // 2
+            r = max(rank[v] for v in path)
+            buckets[r].append(tuple(v for pair in zip(path[:l], path[l:]) for v in pair))
+            try_next[r] -= 1  # the cut rejects the candidate placed at r
         v = order[r]
         key = maxused[r] if symmetry_breaking else q - 1
         cands = cand_cache.get(key)
@@ -237,13 +188,9 @@ def _search(
             r += 1
             try_next[r] = 0
         else:
-            masks[v] = 0
             r -= 1
             if r < 0:
                 return None
-            masks[order[r]] = 0
-    # back from assignment order to vertex order
-    return [sets for _, sets in sorted(zip(order, placed))]
 
 
 def _rainbow(pg: ProductGraph) -> dict:
@@ -256,59 +203,40 @@ def _rainbow(pg: ProductGraph) -> dict:
     }
 
 
-def _rung(g: Graph, budget: Budget, rung: int, paths: dict):
-    """The constraints of the ladder rung of at most ``rung`` vertices, or
-    None when enumerating them would charge more than ``_RUNG_NODE_CAP``
-    nodes.  The nodes an abandoned enumeration charged are charged to the
-    budget all the same, and when it is the budget that runs out, its
-    ResourceLimitError is raised."""
-    trial = Budget(min(_RUNG_NODE_CAP, budget.max_nodes - budget.spent))
-    trial.deadline = budget.deadline
-    try:
-        constraints = _path_buckets(g, trial, max_vertices=rung, **paths)
-    except ResourceLimitError:
-        constraints = None
-    budget.charge(trial.spent)
-    return constraints
-
-
 def _solve(
-    g: Graph, p: int, palettes, budget: Budget | None, symmetry_breaking=True, **paths
+    g: Graph,
+    p: int,
+    palettes,
+    budget: Budget | None,
+    symmetry_breaking=True,
+    order: list[int] | None = None,
+    layer_pairs=(),
 ) -> tuple[int | None, list[tuple[int, ...]] | None, int]:
-    """What every entry point runs: search the palette sizes in order on the
-    ladder of path bounds (``paths`` goes to ``_path_buckets``), all charged
-    to one budget (a fresh ``Budget()`` for None).  Returns (q, sets, nodes):
+    """What every entry point runs: search the palette sizes in order under
+    the edges, the ``layer_pairs`` and the verifier's cuts, shared by every
+    size and all charged to one budget (a fresh ``Budget()`` for None), in
+    the given assignment order (BFS unless given).  Returns (q, sets, nodes):
     the first feasible q and its sets; q = None when every size is
     infeasible; sets = None with the q being decided when the budget ran
     out; nodes is what this call charged."""
     budget = budget or Budget()
     before = budget.spent
+    order = order or bfs_order(g)
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    buckets: list[list[tuple]] = [[] for _ in range(g.n)]
+    for u, v in (*g.edges(), *layer_pairs):
+        buckets[max(rank[u], rank[v])].append((u, v))
     full = g.n - g.n % 2  # the exact check's bound: every even path
+
+    def check(sets):
+        return find_tuple_repetitive_path(g, sets, full, budget=budget) if full else None
+
     q, sets = palettes[0], None
     try:
-        rung, capped = _FIRST_RUNG, False
-        order, buckets = _path_buckets(g, budget, max_vertices=rung, **paths)
         for q in palettes:
-            while True:
-                got = _search(p, q, budget, (order, buckets), symmetry_breaking=symmetry_breaking)
-                if got is None:
-                    break
-                # below the full bound a relaxation's coloring needs the exact check
-                found = None
-                if rung < full:
-                    found = find_tuple_repetitive_path(g, got, full, budget=budget)
-                if found is None:
-                    sets = got
-                    break
-                climbed = not capped and _rung(g, budget, 2 * rung, paths)
-                if climbed:
-                    rung *= 2
-                    order, buckets = climbed
-                else:  # stay on this rung and cut off the witness
-                    capped = True
-                    path, l = found.path, len(found.path) // 2
-                    cut = tuple(v for pair in zip(path[:l], path[l:]) for v in pair)
-                    buckets[max(map(order.index, path))].append(cut)
+            sets = _search(p, q, budget, order, buckets, check, symmetry_breaking=symmetry_breaking)
             if sets is not None:
                 break
         else:
@@ -339,7 +267,7 @@ def _decide(
 
 def _least_palette(g: Graph, first: int, budget: Budget | None, **engine) -> SolveResult:
     """Smallest palette size >= first admitting a coloring, by ascending
-    search over one shared ladder of path constraints up to q = max(n, first)
+    search over one shared set of constraints up to q = max(n, first)
     (distinct colors everywhere always work); exact only when feasibility at q and
     infeasibility below q both are."""
     cap = max(g.n, first)

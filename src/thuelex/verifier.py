@@ -314,13 +314,19 @@ def find_tuple_repetitive_path(
 
 
 def _charge_walks(g: Graph, max_vertices: int, budget: Budget):
-    """Charge the walks with an even vertex count up to the bound, one
-    length at a time, so an oversized count is refused as soon as it is."""
+    """Charge a bound on the second-half nodes the walk search visits, one
+    length at a time, so an oversized bound is refused as soon as it is.  A
+    walk of m vertices is visited at most once per half-length l with
+    m / 2 <= l < m and l <= max_vertices / 2; once no walk of a length
+    exists, no longer one does."""
+    top = max_vertices // 2
     counts = [1] * g.n
-    for length in range(2, max_vertices + 1):
+    for m in range(2, max_vertices + 1):
         counts = [sum(counts[u] for u in g.adj[v]) for v in range(g.n)]
-        if length % 2 == 0:
-            budget.charge(sum(counts))
+        walks = sum(counts)
+        if not walks:
+            return
+        budget.charge(walks * (min(m - 1, top) - (m + 1) // 2 + 1))
 
 
 def is_walk_nonrepetitive(
@@ -329,9 +335,10 @@ def is_walk_nonrepetitive(
     """True iff no non-boring walk of at most the given even vertex count is
     repetitively colored.  A boring walk (second half revisits the first
     vertex-by-vertex) is repetitively colored under every coloring and is
-    exempt by definition.  The number of walks of each even length up to the
-    bound is charged to the budget up front, length by length; the walk
-    search then charges it as the path searches do."""
+    exempt by definition.  A bound on the walk search's second-half nodes,
+    from the number of walks of each length, is charged to the budget up
+    front, length by length; the walk search then charges it as the path
+    searches do."""
     sets = [(c,) for c in colors]
     _check_coloring_size(g, len(sets))
     bound = _even_bound(g, max_walk_vertices, walks=True)

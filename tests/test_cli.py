@@ -188,6 +188,30 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["walk_nonrepetitive"] is True
 
+    def test_long_walks_refused_at_once_exit_3(self, capsys, tmp_path):
+        """The walk charge bounds the second halves the walk search visits,
+        so a bound whose search would take minutes is refused by the node
+        budget before the search starts; the time budget guards the test."""
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 2, "colors": [0, 1]}))
+        code, _, err = run(
+            capsys, "verify", "path:2", str(col), "--walks", "20000",
+            "--max-nodes", "100000000", "--time-budget", "10",
+        )
+        assert code == 3
+        assert "budget of 100000000 nodes" in err
+
+    def test_walks_without_edges_exit_0(self, capsys, tmp_path):
+        """No walk has two vertices, so the charge stops at once however
+        long the bound."""
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 4, "colors": [0, 1, 2, 3]}))
+        code, out, _ = run(
+            capsys, "verify", "empty:4", str(col), "--walks", "10000000", "--time-budget", "10"
+        )
+        assert code == 0
+        assert json.loads(out)["walk_nonrepetitive"] is True
+
     def _rainbow_p24e2(self, capsys, tmp_path):
         graph, col = tmp_path / "p24e2.json", tmp_path / "c24r.json"
         run(capsys, "gen", "product", "--base", "path:24", "--inner", "empty",
@@ -360,8 +384,8 @@ class TestSolve:
         assert json.loads(out)["status"] == "lower_bound_only"
 
     def test_budget_runs_out_inside_an_exact_check(self, capsys, tmp_path, monkeypatch):
-        """The budget lets the ladder reach its first exact check and runs
-        out inside it; the nodes reported include the verifier's."""
+        """The budget lets the search reach its first exact check, at q = 2,
+        and runs out inside it; the nodes reported include the verifier's."""
         graph = tmp_path / "g.json"
         run(capsys, "gen", "product", "--base", "path:6", "--inner", "empty",
             "--k", "2", "--output", str(graph))
@@ -385,17 +409,17 @@ class TestSolve:
         )
         assert code == 3
         d = json.loads(out)
-        assert (d["status"], d["value"], d["nodes_explored"]) == ("lower_bound_only", 5, limit + 1)
+        assert (d["status"], d["value"], d["nodes_explored"]) == ("lower_bound_only", 2, limit + 1)
         assert calls == [limit - 1, "ran out"]
 
-    def test_long_path_enumeration_times_out_exit_3(self, capsys):
+    def test_long_path_times_out_exit_3(self, capsys):
         # deeper than Python's recursion limit
         code, out, _ = run(
             capsys, "solve", "path:1100", "--mode", "thue", "--max-nodes", "5000"
         )
         assert code == 3
         d = json.loads(out)
-        assert (d["status"], d["value"], d["nodes_explored"]) == ("lower_bound_only", 1, 5001)
+        assert (d["status"], d["value"], d["nodes_explored"]) == ("lower_bound_only", 3, 5001)
 
     def test_missing_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "solve", "cycle:7", "--mode", "tuple")

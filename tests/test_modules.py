@@ -79,3 +79,20 @@ def test_verifier_has_one_search():
     tree = _modules()["verifier"]
     loops = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)]
     assert len(loops) == 1, f"verifier.py has while loops at lines {loops}"
+
+
+def test_one_path_dfs_in_the_package():
+    """The solver takes its paths from the verifier, so the verifier's
+    kernel is the package's only explicit-stack path search."""
+    found = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                found += [
+                    f"{name}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.While)
+                    and isinstance(node.test, ast.Name)
+                    and node.test.id == "stack"
+                ]
+    assert found == ["verifier._search"]

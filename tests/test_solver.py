@@ -3,7 +3,11 @@ from random import Random
 
 import pytest
 
-from oracles import halves_repetitive_path_exists, naive_repetitive_path_exists
+from oracles import (
+    all_simple_paths,
+    halves_repetitive_path_exists,
+    naive_repetitive_path_exists,
+)
 from thuelex import (
     COMPLETE,
     EMPTY,
@@ -178,18 +182,18 @@ P6E2 = lex_product(build_path(6), EMPTY, 2)
 
 # (call, status, value, nodes_explored).  The statuses and values were
 # recorded before the plain, rainbow and tuple searches were merged into one
-# engine, the node counts on the ladder of path bounds; any change to
-# candidate order, the ladder or budget charging shows up here.
+# engine, the node counts under lazy cuts from the exact check; any change to
+# candidate order, the cuts or budget charging shows up here.
 PINNED = [
-    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 510),
-    (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 108),
-    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1362),
-    (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 52),
-    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 185),
+    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 344),
+    (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 476),
+    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1389),
+    (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 23),
+    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 82),
     (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 43),
-    (lambda: exists_coloring(P6E2.view, 5, Budget(400)), "timeout", None, 401),
-    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 14871),
-    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(400)), "timeout", None, 401),
+    (lambda: exists_coloring(P6E2.view, 5, Budget(100)), "timeout", None, 101),
+    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 1814),
+    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(100)), "timeout", None, 101),
 ]
 
 
@@ -231,14 +235,14 @@ class TestBudget:
 
     def test_shared_budget(self):
         """Each call reports the nodes it charged; the third runs out."""
-        b = Budget(600)
+        b = Budget(400)
         got = [thue_number(build_path(10), b) for _ in range(3)]
         assert [(r.status, r.value, r.nodes_explored) for r in got] == [
-            ("exact", 3, 256),
-            ("exact", 3, 256),
-            ("lower_bound_only", 3, 89),
+            ("exact", 3, 150),
+            ("exact", 3, 150),
+            ("lower_bound_only", 3, 101),
         ]
-        assert b.spent == 601
+        assert b.spent == 401
 
     def test_refused_sweeps_charge_their_projection(self):
         b = Budget(10)
@@ -249,11 +253,11 @@ class TestBudget:
         g = lex_product(build_path(6), COMPLETE, 2).view
         with pytest.raises(ResourceLimitError):
             is_walk_nonrepetitive(g, range(12), 12, budget=b)
-        assert b.spent == 1_128  # 52 two-vertex and 1,076 four-vertex walks of P_6[K_2]
+        assert b.spent == 288  # 52 two-vertex and 236 three-vertex walks of P_6[K_2], once each
 
 
 class TestSharedConstraints:
-    """Optimum searches share one ladder of path constraints across every
+    """Optimum searches share one set of constraints and cuts across every
     palette size; the answers must be those of a fresh feasibility call at
     the optimum."""
 
@@ -307,19 +311,62 @@ class TestLemma1Star:
         assert naive_repetitive_path_exists(pg.view, colors)
 
 
-def _full_enumeration(g, p, palettes, symmetry_breaking=True, **paths):
-    """The first palette size with a solution and its sets, searched over
-    every even path of g at once (no ladder), or (None, None)."""
-    constraints = solver._path_buckets(g, Budget(), **paths)
+def _flat_pairs(path):
+    l = len(path) // 2
+    return tuple(v for pair in zip(path[:l], path[l:]) for v in pair)
+
+
+def _full_enumeration(g, p, palettes, symmetry_breaking=True, order=None, layer_pairs=()):
+    """The first palette size with a solution and its sets, searched under
+    every even path of g at once and a check that never cuts, or
+    (None, None)."""
+    order = order or solver.bfs_order(g)
+    rank = {v: r for r, v in enumerate(order)}
+    constraints = list(layer_pairs)
+    for path in all_simple_paths(g):
+        if len(path) % 2 == 0 and path[0] < path[-1]:
+            constraints.append(_flat_pairs(path))
+    buckets = [[] for _ in range(g.n)]
+    for c in constraints:
+        buckets[max(rank[v] for v in c)].append(c)
     for q in palettes:
-        sets = solver._search(p, q, Budget(), constraints, symmetry_breaking=symmetry_breaking)
+        sets = solver._search(
+            p, q, Budget(), order, buckets, lambda sets: None, symmetry_breaking=symmetry_breaking
+        )
         if sets is not None:
             return q, sets
     return None, None
 
 
-def _ladder_cases():
-    """(id, case) pairs; each case returns the ladder's (value, witness
+class _Restart(Exception):
+    pass
+
+
+def _restarting(search):
+    """``search`` (the engine) run again from rank 0 after every cut, which
+    it keeps, instead of resuming at the cut's rank."""
+
+    def restarting(p, q, budget, order, buckets, check, **options):
+        rank = {v: r for r, v in enumerate(order)}
+
+        def cut(sets):
+            found = check(sets)
+            if found is None:
+                return None
+            buckets[max(rank[v] for v in found.path)].append(_flat_pairs(found.path))
+            raise _Restart
+
+        while True:
+            try:
+                return search(p, q, budget, order, buckets, cut, **options)
+            except _Restart:
+                pass
+
+    return restarting
+
+
+def _cut_cases():
+    """(id, case) pairs; each case returns the solver's (value, witness
     cells) and those of ``_full_enumeration``."""
     def plain(g):
         r = thue_number(g)
@@ -367,20 +414,24 @@ def _ladder_cases():
     return cases
 
 
-LADDER_CASES = _ladder_cases()
+CUT_CASES = _cut_cases()
 
 
 class TestLadder:
-    """The ladder of path bounds gives the answers of a search over every
-    even path: the same value and witness, climbing rungs or, with no room
-    to climb, cutting lazily on the first rung."""
+    """Lazy cuts from the exact check give the answers of a search over
+    every even path: the same value and witness.  The ids ``climb`` and
+    ``cut`` are those of the rung ladder the cuts replaced: ``cut`` runs the
+    solver as it is, resuming at each cut's rank, and ``climb`` restarts it
+    from rank 0 after every cut, which the proof in the solver's docstring
+    covers too."""
 
-    @pytest.mark.parametrize("cap", [solver._RUNG_NODE_CAP, 0], ids=["climb", "cut"])
-    @pytest.mark.parametrize("case", [c for _, c in LADDER_CASES], ids=[i for i, _ in LADDER_CASES])
-    def test_matches_full_enumeration(self, case, cap, monkeypatch):
-        monkeypatch.setattr(solver, "_RUNG_NODE_CAP", cap)
-        ladder, full = case()
-        assert ladder == full
+    @pytest.mark.parametrize("resume", [False, True], ids=["climb", "cut"])
+    @pytest.mark.parametrize("case", [c for _, c in CUT_CASES], ids=[i for i, _ in CUT_CASES])
+    def test_matches_full_enumeration(self, case, resume, monkeypatch):
+        if not resume:
+            monkeypatch.setattr(solver, "_search", _restarting(solver._search))
+        cuts, full = case()
+        assert cuts == full
 
     def test_p12e2_thue_number(self):
         g = lex_product(build_path(12), EMPTY, 2).view

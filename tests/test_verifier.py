@@ -449,12 +449,12 @@ class TestWalks:
         assert 300 < walk_nonrepetitive < 2700  # both answers are exercised
 
     def test_oversized_count_is_refused_at_once(self):
-        # each even length's walk count is charged as it is made, so the
-        # count stops at the first length whose running total passes 10^8
+        # each length's charge is made as its walk count is, so the count
+        # stops at the first length whose running total passes 10^8
         b = Budget()
         with pytest.raises(ResourceLimitError):
             is_walk_nonrepetitive(build_path(500), [v % 3 for v in range(500)], 4000, budget=b)
-        assert b.spent == 345_385_486
+        assert b.spent == 108_159_924
 
 
 class TestTrichotomy:
