@@ -57,13 +57,16 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
-def _emit(payload, output: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, output: str | None):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, output: str | None):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
 def _note(message: str):
@@ -202,7 +205,7 @@ def _cmd_color(args) -> int:
         col = build[0](_required_n(args.n, args.construction), args.k)
         pg = graphs.lex_product(graphs.build_path(args.n), build[1], args.k)
     _emit(coloring_to_json_dict(col), args.output)
-    rain = verifier.is_rainbow(pg, col.colors)
+    rain = colorings.is_rainbow(pg, col.colors)
     _note(f"palette={col.palette} rainbow={'yes' if rain else 'no'}")
     return EXIT_OK
 
@@ -213,6 +216,10 @@ def _cmd_verify(args) -> int:
     kind, g = _parse_graph_spec(args.graph)
     view = g.view if kind == "product" else g
     ckind, col = _load_coloring(args.coloring)
+    if args.walks:
+        if ckind != "plain":
+            raise ValueError("--walks applies to plain colorings")
+        verifier.even_bound(view, args.walks, walks=True)
     if args.exact:
         bound = max(2, view.n - view.n % 2)
     elif args.bound is not None:
@@ -229,7 +236,7 @@ def _cmd_verify(args) -> int:
             raise ValueError("--rainbow needs a product graph")
         if ckind != "plain":
             raise ValueError("--rainbow applies to plain colorings")
-        report["rainbow"] = verifier.is_rainbow(g, col.colors)
+        report["rainbow"] = colorings.is_rainbow(g, col.colors)
         if not report["rainbow"]:
             report["verified"] = False
             _emit(report, args.output)
@@ -251,8 +258,6 @@ def _cmd_verify(args) -> int:
         return EXIT_WITNESS
 
     if args.walks:
-        if ckind != "plain":
-            raise ValueError("--walks applies to plain colorings")
         report["walk_nonrepetitive"] = verifier.is_walk_nonrepetitive(
             view, col.colors, args.walks, budget=budget
         )
@@ -321,13 +326,8 @@ def _cmd_seq(args) -> int:
         )
         if args.json:
             _emit(sequences.seq_to_json_dict(seq), args.output)
-            return EXIT_OK
-        text = seq.to_str() + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
         else:
-            sys.stdout.write(text)
+            _write(seq.to_str() + "\n", args.output)
         return EXIT_OK
     if args.action == "check":
         seq = _parse_sequence(args.sequence)

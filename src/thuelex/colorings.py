@@ -1,5 +1,6 @@
-"""Explicit colorings of path and tree products, and the color-set analyses
-(layer sets, richness, labeling) used by the lower-bound machinery.
+"""Explicit colorings of path and tree products, and every analysis of a
+product's layer color sets: rainbow layers, the four-vertex path trichotomy,
+layer sets, richness and labeling.
 
 All constructions are driven by the lexicographically least palindrome-free
 nonrepetitive word over four symbols, so the same (n, k) always produces the
@@ -10,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import COMPLETE, Graph, ProductGraph, RootedTreeMeta, lex_product
+from .graphs import (
+    COMPLETE,
+    Graph,
+    ProductGraph,
+    RootedTreeMeta,
+    layer_vertices,
+    lex_product,
+)
 from .sequences import gen_nonrepetitive
 from .verifier import find_repetitive_path
 
@@ -82,6 +90,18 @@ def _ternary_word(length: int) -> tuple[int, ...]:
     return gen_nonrepetitive(3, length + _WORD_PAD).symbols[:length]
 
 
+def _four_layer_cycle(n: int, k: int, pair, middle) -> tuple[int, ...]:
+    """Colors of the n layers of P_n[E_k] cycling with period four: the block
+    X = 0..k-1, then pair[s_i], middle[s_i] and pair[s_i] again, s_i the i-th
+    letter of the driving word."""
+    s = _driving_word((n + 3) // 4)
+    colors: list[int] = []
+    for b in range(n):
+        si = s[b // 4]
+        colors.extend(range(k) if b % 4 == 0 else middle[si] if b % 4 == 2 else pair[si])
+    return tuple(colors)
+
+
 def color_path_empty(n: int, k: int) -> Coloring:
     """Coloring of P_n[E_k] with 2k+1 colors for k >= 3, 6 colors for k = 2,
     and the plain ternary nonrepetitive coloring for k = 1.
@@ -94,29 +114,11 @@ def color_path_empty(n: int, k: int) -> Coloring:
         raise ValueError("need n >= 1 and k >= 1")
     if k == 1:
         return Coloring(3, _ternary_word(n))
-    s = _driving_word((n + 3) // 4)
-    if k == 2:
-        palette = 6
-        x = (0, 1)
-        y = (2, 3, 4, 5)
-        offset = 2
-    else:
-        palette = 2 * k + 1
-        x = tuple(range(k))
-        y = tuple(range(k, 2 * k + 1))
-        offset = k  # s takes the four smallest elements of Y
-    colors: list[int] = []
-    for b in range(n):
-        j = b + 1
-        si = s[(j - 1) // 4] + offset
-        if j % 4 == 1:
-            layer = x
-        elif j % 4 == 3:
-            layer = tuple(c for c in y if c != si)[:k]
-        else:
-            layer = (si,) * k
-        colors.extend(layer)
-    return Coloring(palette, tuple(colors))
+    palette = k + max(k + 1, 4)  # s takes the four smallest elements of Y
+    y = range(k, palette)
+    mono = [(k + si,) * k for si in range(4)]
+    rainbow = [tuple(c for c in y if c != k + si)[:k] for si in range(4)]
+    return Coloring(palette, _four_layer_cycle(n, k, mono, rainbow))
 
 
 def color_path_rainbow(n: int, k: int) -> Coloring:
@@ -136,23 +138,10 @@ def color_path_rainbow(n: int, k: int) -> Coloring:
         blocks.append(tuple(range(pos, pos + size)))
         pos += size
     a, b_, c, d, e = blocks
-    palette = pos
-    x = tuple(range(k))
-    pair = {0: a + b_, 1: a + c, 2: c + e, 3: d + e}
-    middle = {0: c + d[:dn], 1: b_ + e, 2: a + d, 3: b_ + c[:dn]}
-    s = _driving_word((n + 3) // 4)
-    colors: list[int] = []
-    for v in range(n):
-        j = v + 1
-        si = s[(j - 1) // 4]
-        if j % 4 == 1:
-            layer = x
-        elif j % 4 == 3:
-            layer = middle[si]
-        else:
-            layer = pair[si]
-        colors.extend(sorted(layer))
-    return Coloring(palette, tuple(colors))
+    # every union joins its blocks in ascending order, so its colors ascend
+    pair = (a + b_, a + c, c + e, d + e)
+    middle = (c + d[:dn], b_ + e, a + d, b_ + c[:dn])
+    return Coloring(pos, _four_layer_cycle(n, k, pair, middle))
 
 
 def _level_coloring(levels, k: int) -> Coloring:
@@ -229,15 +218,47 @@ def color_tree_complete(
     return coloring
 
 
+def _layer_sets(pg: ProductGraph, colors) -> tuple[frozenset[int], ...]:
+    """The set of colors in each layer of the product, by base vertex."""
+    colors = tuple(colors)
+    if len(colors) != pg.view.n:
+        raise ValueError(f"coloring covers {len(colors)} vertices, graph has {pg.view.n}")
+    return tuple(
+        frozenset(colors[v] for v in layer_vertices(pg, b)) for b in range(pg.base.n)
+    )
+
+
+def _pairwise_disjoint(*sets) -> bool:
+    return len(frozenset().union(*sets)) == sum(map(len, sets))
+
+
 def layer_color_sets(pg: ProductGraph, coloring: Coloring) -> LayerColorSets:
     """Per-base-vertex set of colors appearing in that layer."""
-    if len(coloring.colors) != pg.view.n:
-        raise ValueError("coloring does not cover the product")
-    k = pg.k
-    sets = tuple(
-        frozenset(coloring.colors[b * k : (b + 1) * k]) for b in range(pg.base.n)
-    )
-    return LayerColorSets(k, sets)
+    return LayerColorSets(pg.k, _layer_sets(pg, coloring.colors))
+
+
+def is_rainbow(pg: ProductGraph, colors) -> bool:
+    """True iff every layer's colors are pairwise distinct."""
+    return all(len(s) == pg.k for s in _layer_sets(pg, colors))
+
+
+def check_path4_trichotomy(pg: ProductGraph, colors) -> bool:
+    """For every 4-vertex path in the base graph, the color sets of the first
+    three layers or of the last three layers must be pairwise disjoint."""
+    layer_sets = _layer_sets(pg, colors)
+    base = pg.base
+    for a in range(base.n):
+        for b in base.adj[a]:
+            for c in base.adj[b]:
+                if c == a:
+                    continue
+                for d in base.adj[c]:
+                    if d == a or d == b or d < a:
+                        continue
+                    s = [layer_sets[v] for v in (a, b, c, d)]
+                    if not (_pairwise_disjoint(*s[:3]) or _pairwise_disjoint(*s[1:])):
+                        return False
+    return True
 
 
 def is_rich(x, y, k: int) -> bool:
@@ -255,13 +276,7 @@ def label_layers(sets: LayerColorSets, k: int) -> LabelSequence:
     s = sets.sets
     n = len(s)
     labels: list[str | None] = [None] * n
-    seed = None
-    for t in (0, 1):
-        if t + 2 <= n - 1:
-            a, b, c = s[t], s[t + 1], s[t + 2]
-            if not (a & b or a & c or b & c):
-                seed = t
-                break
+    seed = next((t for t in (0, 1) if t + 3 <= n and _pairwise_disjoint(*s[t : t + 3])), None)
     if seed is None:
         return LabelSequence(tuple(labels))
     labels[seed], labels[seed + 1], labels[seed + 2] = "A", "B", "C"

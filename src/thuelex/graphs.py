@@ -4,8 +4,9 @@ graphs.
 
 Vertices are always the integers 0..n-1.  A product vertex (b, j) gets the id
 b*k + j (base-major), so layer extraction is O(1) and every witness printed by
-the verifier or solver is reproducible across runs.  All types are immutable
-value data after construction.
+the verifier or solver is reproducible across runs.  Other modules take a
+layer from ``layer_vertices``.  All types are immutable value data after
+construction.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from itertools import combinations
 
 from .colorings import Coloring, TupleColoring
 from .errors import Budget, ResourceLimitError
-from .graphs import Graph, ProductGraph
+from .graphs import Graph, ProductGraph, layer_vertices
 from .verifier import find_tuple_repetitive_path
 
 STATUS_EXACT = "exact"
@@ -196,7 +196,7 @@ def _search(
 def _rainbow(pg: ProductGraph) -> dict:
     """Engine options for rainbow searches: whole layers in base BFS order,
     and every pair of vertices in one layer as a constraint."""
-    layers = [range(b * pg.k, (b + 1) * pg.k) for b in bfs_order(pg.base)]
+    layers = [layer_vertices(pg, b) for b in bfs_order(pg.base)]
     return {
         "order": [v for layer in layers for v in layer],
         "layer_pairs": [pair for layer in layers for pair in combinations(layer, 2)],

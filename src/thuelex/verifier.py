@@ -1,5 +1,6 @@
-"""Decide whether colorings are nonrepetitive, rainbow, tuple-nonrepetitive
-or walk-nonrepetitive, producing re-checkable witnesses.
+"""Decide whether colorings of a graph are nonrepetitive, tuple-nonrepetitive
+or walk-nonrepetitive by one repetitive-path search, producing re-checkable
+witnesses.
 
 Plain and tuple colorings share one repetitive-path search: a plain color c
 is the color set {c}, and positions i and i+l of an even path agree when
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import Budget
-from .graphs import Graph, ProductGraph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,11 @@ class RepetitionWitness:
     half_colors: tuple[int, ...]
 
 
-def _check_coloring_size(g: Graph, n_colors: int):
-    if n_colors != g.n:
-        raise ValueError(f"coloring covers {n_colors} vertices, graph has {g.n}")
-
-
-def _even_bound(g: Graph, max_vertices: int, walks: bool = False) -> int:
+def even_bound(g: Graph, max_vertices: int, *, walks: bool = False) -> int:
+    """The vertex bound a search of paths (or, with ``walks``, of walks) of
+    at most max_vertices vertices runs at.  The bound must be even and at
+    least 2 (ValueError otherwise); a path bound is clamped to |V| rounded
+    down to even."""
     if max_vertices < 2 or max_vertices % 2 != 0:
         raise ValueError(f"{'walk' if walks else 'path'} bound must be even and at least 2")
     return max_vertices if walks else min(max_vertices, g.n - (g.n % 2))
@@ -245,9 +245,12 @@ def _find_repetition(
     i+l have meeting color sets, or None.  With ``walks``, the first such
     walk that is not boring."""
     sets = [frozenset(s) for s in sets]
-    _check_coloring_size(g, len(sets))
-    bound = _even_bound(g, max_vertices, walks)
+    if len(sets) != g.n:
+        raise ValueError(f"coloring covers {len(sets)} vertices, graph has {g.n}")
+    bound = even_bound(g, max_vertices, walks=walks)
     budget = budget or Budget()
+    if walks:
+        _charge_walks(g, bound, budget)
     labels: dict = {}
     lab = [labels.setdefault(s, len(labels)) for s in sets]
     holders: dict = {}
@@ -292,18 +295,6 @@ def find_repetitive_path(
     return _find_repetition(g, [(c,) for c in colors], max_vertices, budget)
 
 
-def is_rainbow(pg: ProductGraph, colors) -> bool:
-    """True iff every layer's colors are pairwise distinct."""
-    colors = tuple(colors)
-    _check_coloring_size(pg.view, len(colors))
-    k = pg.k
-    for b in range(pg.base.n):
-        layer = colors[b * k : (b + 1) * k]
-        if len(set(layer)) != k:
-            return False
-    return True
-
-
 def find_tuple_repetitive_path(
     g: Graph, sets, max_vertices: int, *, budget: Budget | None = None
 ) -> RepetitionWitness | None:
@@ -340,36 +331,4 @@ def is_walk_nonrepetitive(
     front, length by length; the walk search then charges it as the path
     searches do."""
     sets = [(c,) for c in colors]
-    _check_coloring_size(g, len(sets))
-    bound = _even_bound(g, max_walk_vertices, walks=True)
-    budget = budget or Budget()
-    _charge_walks(g, bound, budget)
-    return _find_repetition(g, sets, bound, budget, walks=True) is None
-
-
-def check_path4_trichotomy(pg: ProductGraph, colors) -> bool:
-    """For every 4-vertex path in the base graph, the color sets of the first
-    three layers or of the last three layers must be pairwise disjoint."""
-    colors = tuple(colors)
-    _check_coloring_size(pg.view, len(colors))
-    k = pg.k
-    layer_sets = [
-        frozenset(colors[b * k : (b + 1) * k]) for b in range(pg.base.n)
-    ]
-
-    def disjoint3(a, b, c):
-        return not (a & b or a & c or b & c)
-
-    base = pg.base
-    for a in range(base.n):
-        for b in base.adj[a]:
-            for c in base.adj[b]:
-                if c == a:
-                    continue
-                for d in base.adj[c]:
-                    if d == a or d == b or d < a:
-                        continue
-                    s = [layer_sets[v] for v in (a, b, c, d)]
-                    if not (disjoint3(*s[:3]) or disjoint3(*s[1:])):
-                        return False
-    return True
+    return _find_repetition(g, sets, max_walk_vertices, budget, walks=True) is None

@@ -58,6 +58,13 @@ class TestGen:
         assert json.loads(out)["n"] == 1757
         assert "core size 251" in err
 
+    def test_product_file_as_base_exit_2(self, capsys, tmp_path):
+        product = tmp_path / "p.json"
+        run(capsys, "gen", "product", "--base", "path:3", "--output", str(product))
+        code, out, err = run(capsys, "gen", "product", "--base", str(product))
+        assert code == 2
+        assert out == "" and "--base must be a plain graph" in err
+
     def test_tree(self, capsys):
         code, out, _ = run(
             capsys, "gen", "tree",
@@ -180,6 +187,41 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "path:3", str(col), "--exact", "--walks", "4")
         assert code == 1
         assert json.loads(out)["walk_nonrepetitive"] is False
+
+    @pytest.mark.parametrize(
+        "coloring,walks",
+        [
+            ({"p": 2, "q": 3, "sets": [[0, 1], [0, 2], [0, 1], [0, 2]]}, "4"),
+            ({"palette": 2, "colors": [0, 1, 0, 1]}, "3"),
+            ({"palette": 2, "colors": [0, 1, 0, 1]}, "1"),
+            ({"palette": 2, "colors": [0, 1, 0, 1]}, "-2"),
+        ],
+        ids=["tuple-coloring", "odd-bound", "bound-below-2", "negative-bound"],
+    )
+    def test_bad_walks_refused_before_the_path_search_exit_2(
+        self, capsys, tmp_path, coloring, walks
+    ):
+        """Both colorings make P_4 repetitive, so a path search run first
+        would exit 1 with its witness."""
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps(coloring))
+        code, out, err = run(capsys, "verify", "path:4", str(col), "--walks", walks)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_walks_0_is_no_walk_check(self, capsys, tmp_path):
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 2, "colors": [0, 1, 0]}))
+        code, out, _ = run(capsys, "verify", "path:3", str(col), "--exact", "--walks", "0")
+        assert code == 0
+        assert "walk_nonrepetitive" not in json.loads(out)
+
+    def test_inline_g0_spec(self, capsys, tmp_path):
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 1757, "colors": list(range(1757))}))
+        code, out, _ = run(capsys, "verify", "g0", str(col), "--bound", "2")
+        assert code == 0
+        assert json.loads(out) == {"bound_used": 2, "exact": False, "verified": True}
 
     def test_long_walks_exit_0(self, capsys, tmp_path):
         col = tmp_path / "c.json"
@@ -339,6 +381,14 @@ class TestSolve:
         assert d["witness"]["palette"] == 4
         assert "wall=" in err
 
+    def test_inline_tree_spec(self, capsys):
+        # tree:2,1,2 is the root with two legs of two vertices: P_5
+        code, out, _ = run(capsys, "solve", "tree:2,1,2")
+        assert code == 0
+        d = json.loads(out)
+        assert d["status"] == "exact" and d["value"] == 3
+        assert len(d["witness"]["colors"]) == 5
+
     def test_tuple_infeasible(self, capsys):
         code, out, _ = run(
             capsys, "solve", "cycle:7", "--mode", "tuple", "--p", "2", "--q", "6"
@@ -451,6 +501,14 @@ class TestSeq:
         code, out, _ = run(capsys, "seq", "gen", "--sigma", "3", "--len", "5")
         assert code == 0
         assert out.strip() == "ABACA"
+
+    def test_gen_output_file(self, capsys, tmp_path):
+        word = tmp_path / "w.txt"
+        code, out, _ = run(
+            capsys, "seq", "gen", "--sigma", "3", "--len", "5", "--output", str(word)
+        )
+        assert code == 0
+        assert out == "" and word.read_text() == "ABACA\n"
 
     def test_gen_infeasible_exit_1(self, capsys):
         code, _, _ = run(capsys, "seq", "gen", "--sigma", "2", "--len", "4")

@@ -9,6 +9,7 @@ from thuelex import (
     Graph,
     LayerColorSets,
     RootedTreeMeta,
+    TupleColoring,
     build_path,
     build_rooted_tree,
     c7_fractional_example,
@@ -357,3 +358,22 @@ class TestC7Fractional:
             (2, 6),
             (5, 7),
         ]
+
+
+class TestTupleColoringValidation:
+    @pytest.mark.parametrize(
+        "p,q,sets,message",
+        [
+            (1.5, 7, (), "integers"),
+            (2, "7", (), "integers"),
+            (2, 7, ((0,),), "not a 2-subset"),
+            (2, 7, ((1, 1),), "not a 2-subset"),
+            (2, 7, ((3, 1),), "ascending"),
+            (2, 7, ((0, 7),), "ascending"),
+            (2, 7, ((-1, 0),), "ascending"),
+        ],
+        ids=["float-p", "str-q", "wrong-size", "repeated", "unsorted", "above", "below"],
+    )
+    def test_rejected(self, p, q, sets, message):
+        with pytest.raises(ValueError, match=message):
+            TupleColoring(p, q, sets)

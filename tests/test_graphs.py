@@ -171,6 +171,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph(3, ((2, 1), (0, 2), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "n,adj,message",
+        [
+            (-1, (), "nonnegative"),
+            (2, ((),), "adjacency length"),
+            (2, ((2,), ()), "out of range"),
+        ],
+        ids=["negative-n", "adjacency-length", "neighbor-out-of-range"],
+    )
+    def test_malformed_rejected(self, n, adj, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, adj)
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 1), (1, 0)])

@@ -4,9 +4,11 @@ budget type."""
 
 import ast
 import inspect
+import typing
 from pathlib import Path
 
 import thuelex
+from thuelex import Graph, verifier
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thuelex"
 
@@ -96,3 +98,25 @@ def test_one_path_dfs_in_the_package():
                     and node.test.id == "stack"
                 ]
     assert found == ["verifier._search"]
+
+
+def test_verifier_takes_plain_graphs():
+    """Product layers belong to the colorings module: every public function
+    of the verifier takes a plain ``Graph`` first, and verifier.py does not
+    import ``ProductGraph``."""
+    public = [
+        obj for name, obj in vars(verifier).items()
+        if inspect.isfunction(obj) and not name.startswith("_")
+        and obj.__module__ == verifier.__name__
+    ]
+    assert public
+    for fn in public:
+        first = next(iter(inspect.signature(fn).parameters))
+        assert typing.get_type_hints(fn).get(first) is Graph, fn.__name__
+    imported = {
+        alias.name
+        for node in ast.walk(_modules()["verifier"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "ProductGraph" not in imported
