@@ -73,7 +73,7 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
-def _parse_graph_spec(spec: str | None):
+def _parse_graph_spec(spec: str | None) -> graphs.Graph | graphs.ProductGraph:
     """Inline graph spec (path:N, cycle:N, complete:N, empty:N, tree:a,b,c,
     g0) or a JSON file holding a graph or a product."""
     if spec is None:
@@ -86,16 +86,16 @@ def _parse_graph_spec(spec: str | None):
         "empty": graphs.build_empty,
     }
     if kind in builders and arg:
-        return "graph", builders[kind](int(arg))
+        return builders[kind](int(arg))
     if kind == "tree" and arg:
         a, b, c = (int(x) for x in arg.split(","))
-        return "graph", graphs.build_rooted_tree(a, b, c)[0]
+        return graphs.build_rooted_tree(a, b, c)[0]
     if spec == "g0":
-        return "graph", graphs.build_outerplanar_g0()[0]
+        return graphs.build_outerplanar_g0()[0]
     d = _read_json(spec)
     if isinstance(d, dict) and "base" in d:
-        return "product", graphs.product_from_json_dict(d)
-    return "graph", graphs.graph_from_json_dict(d)
+        return graphs.product_from_json_dict(d)
+    return graphs.graph_from_json_dict(d)
 
 
 def _required_n(n: int | None, what: str) -> int:
@@ -104,14 +104,17 @@ def _required_n(n: int | None, what: str) -> int:
     return n
 
 
-def _load_view(spec: str) -> graphs.Graph:
-    kind, g = _parse_graph_spec(spec)
-    return g.view if kind == "product" else g
+def _view(g: graphs.Graph | graphs.ProductGraph) -> graphs.Graph:
+    return g.view if isinstance(g, graphs.ProductGraph) else g
 
 
-def _load_coloring(path: str):
-    """Plain or tuple coloring from JSON; returns ('plain', Coloring) or
-    ('tuple', TupleColoring)."""
+def _tree(args) -> tuple[graphs.Graph, graphs.RootedTreeMeta]:
+    """The rooted tree of the tree-shape flags."""
+    return graphs.build_rooted_tree(args.root_children, args.internal_children, args.leaf_depth)
+
+
+def _load_coloring(path: str) -> colorings.Coloring | colorings.TupleColoring:
+    """Plain or tuple coloring from JSON."""
     d = _read_json(path)
     if not isinstance(d, dict):
         raise ValueError("coloring JSON must be an object")
@@ -121,10 +124,10 @@ def _load_coloring(path: str):
         if not isinstance(raw, list):
             raise ValueError("'sets' must be a list of integer lists")
         sets = tuple(tuple(sorted(c - shift for c in _int_list(s, "each set"))) for s in raw)
-        return "tuple", colorings.TupleColoring(d["p"], d["q"], sets)
+        return colorings.TupleColoring(d["p"], d["q"], sets)
     if "colors" in d:
         cols = tuple(c - shift for c in _int_list(d["colors"], "'colors'"))
-        return "plain", colorings.Coloring(d["palette"], cols)
+        return colorings.Coloring(d["palette"], cols)
     raise ValueError("coloring JSON needs 'colors' or 'sets'")
 
 
@@ -149,27 +152,21 @@ def coloring_to_json_dict(col) -> dict:
 # -- gen ----------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind in ("path", "cycle"):
-        build = graphs.build_path if args.kind == "path" else graphs.build_cycle
-        g = build(_required_n(args.n, args.kind))
-    elif args.kind == "tree":
-        g, _ = graphs.build_rooted_tree(
-            args.root_children, args.internal_children, args.leaf_depth
-        )
+    if args.kind == "tree":
+        g = _tree(args)[0]
     elif args.kind == "g0":
         g, core = graphs.build_outerplanar_g0()
         _note(f"g0: {g.n} vertices, {g.m} edges, core size {len(core)}")
-    else:  # product
-        kind, base = _parse_graph_spec(args.base)
-        if kind != "graph":
+    elif args.kind == "product":
+        base = _parse_graph_spec(args.base)
+        if not isinstance(base, graphs.Graph):
             raise ValueError("--base must be a plain graph")
         pg = graphs.lex_product(base, args.inner, args.k)
-        g = pg.view
+        g, doc = pg.view, graphs.product_to_json_dict(pg)
         _note(f"product: {g.n} vertices, {g.m} edges")
-    if args.kind == "product":
-        _emit(graphs.product_to_json_dict(pg), args.output)
-    else:
-        _emit(graphs.graph_to_json_dict(g), args.output)
+    else:  # path, cycle: the graph of the inline spec kind:n
+        g = _parse_graph_spec(f"{args.kind}:{_required_n(args.n, args.kind)}")
+    _emit(doc if args.kind == "product" else graphs.graph_to_json_dict(g), args.output)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graphs.to_dot(g))
@@ -189,21 +186,18 @@ def _cmd_color(args) -> int:
         _note(f"tuple coloring p={col.p} q={col.q} (1-based): {listing}")
         return EXIT_OK
     if args.construction == "tree-complete":
-        tree, meta = graphs.build_rooted_tree(
-            args.root_children, args.internal_children, args.leaf_depth
-        )
-        col = colorings.color_tree_complete(
-            tree, meta, args.k, path_bound=args.path_bound
-        )
-        pg = graphs.lex_product(tree, graphs.COMPLETE, args.k)
+        base, meta = _tree(args)
+        col = colorings.color_tree_complete(base, meta, args.k, path_bound=args.path_bound)
+        inner = graphs.COMPLETE
     else:
-        build = {
+        construct, inner = {
             "path-empty": (colorings.color_path_empty, graphs.EMPTY),
             "path-rainbow": (colorings.color_path_rainbow, graphs.EMPTY),
             "path-complete": (colorings.color_path_complete, graphs.COMPLETE),
         }[args.construction]
-        col = build[0](_required_n(args.n, args.construction), args.k)
-        pg = graphs.lex_product(graphs.build_path(args.n), build[1], args.k)
+        col = construct(_required_n(args.n, args.construction), args.k)
+        base = graphs.build_path(args.n)
+    pg = graphs.lex_product(base, inner, args.k)
     _emit(coloring_to_json_dict(col), args.output)
     rain = colorings.is_rainbow(pg, col.colors)
     _note(f"palette={col.palette} rainbow={'yes' if rain else 'no'}")
@@ -213,29 +207,33 @@ def _cmd_color(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    kind, g = _parse_graph_spec(args.graph)
-    view = g.view if kind == "product" else g
-    ckind, col = _load_coloring(args.coloring)
+    g = _parse_graph_spec(args.graph)
+    view = _view(g)
+    col = _load_coloring(args.coloring)
+    plain = isinstance(col, colorings.Coloring)
+    # every input is checked here, before any check runs
     if args.walks:
-        if ckind != "plain":
+        if not plain:
             raise ValueError("--walks applies to plain colorings")
         verifier.even_bound(view, args.walks, walks=True)
+    full = verifier.exact_bound(view)
     if args.exact:
-        bound = max(2, view.n - view.n % 2)
+        bound = max(2, full)
     elif args.bound is not None:
         bound = args.bound
     else:
         # bounded checking is the default once exhaustion stops being cheap
-        bound = max(2, min(view.n - view.n % 2, 14))
+        bound = max(2, min(full, 14))
         _note(f"no bound given: defaulting to paths of at most {bound} vertices")
-    exact = verifier.is_exact_bound(view, bound)
-    report: dict = {"bound_used": bound, "exact": exact}
+    verifier.even_bound(view, bound)
+    if args.rainbow:
+        if not isinstance(g, graphs.ProductGraph):
+            raise ValueError("--rainbow needs a product graph")
+        if not plain:
+            raise ValueError("--rainbow applies to plain colorings")
+    report: dict = {"bound_used": bound, "exact": bound >= full}
 
     if args.rainbow:
-        if kind != "product":
-            raise ValueError("--rainbow needs a product graph")
-        if ckind != "plain":
-            raise ValueError("--rainbow applies to plain colorings")
         report["rainbow"] = colorings.is_rainbow(g, col.colors)
         if not report["rainbow"]:
             report["verified"] = False
@@ -244,10 +242,10 @@ def _cmd_verify(args) -> int:
             return EXIT_WITNESS
 
     budget = _budget(args.max_nodes, args.time_budget)
-    if ckind == "tuple":
-        witness = verifier.find_tuple_repetitive_path(view, col.sets, bound, budget=budget)
-    else:
+    if plain:
         witness = verifier.find_repetitive_path(view, col.colors, bound, budget=budget)
+    else:
+        witness = verifier.find_tuple_repetitive_path(view, col.sets, bound, budget=budget)
     if witness is not None:
         report["verified"] = False
         report["path"] = list(witness.path)
@@ -269,7 +267,7 @@ def _cmd_verify(args) -> int:
 
     report["verified"] = True
     _emit(report, args.output)
-    if exact:
+    if report["exact"]:
         _note("verified: nonrepetitive (exact)")
     else:
         _note(f"verified: no repetition up to 2l <= {bound} (bounded, not exact)")
@@ -281,16 +279,17 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     started = time.monotonic()
     if args.mode == "thue":
-        search = partial(solver.thue_number, _load_view(args.graph))
+        search = partial(solver.thue_number, _view(_parse_graph_spec(args.graph)))
     elif args.mode == "rainbow":
-        kind, pg = _parse_graph_spec(args.graph)
-        if kind != "product":
+        pg = _parse_graph_spec(args.graph)
+        if not isinstance(pg, graphs.ProductGraph):
             raise ValueError("rainbow mode needs a product graph")
         search = partial(solver.rainbow_thue_number, pg)
     else:  # tuple
         if args.p is None or args.q is None:
             raise ValueError("tuple mode needs --p and --q")
-        search = partial(solver.exists_tuple_coloring, _load_view(args.graph), args.p, args.q)
+        g = _view(_parse_graph_spec(args.graph))
+        search = partial(solver.exists_tuple_coloring, g, args.p, args.q)
     result = search(_budget(args.max_nodes, args.time_budget))
     elapsed = time.monotonic() - started
     payload = {
@@ -393,51 +392,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="build a graph and write its JSON")
+    # flags that more than one subcommand takes
+    tree_shape = argparse.ArgumentParser(add_help=False)
+    tree_shape.add_argument("--root-children", type=int, default=3)
+    tree_shape.add_argument("--internal-children", type=int, default=2)
+    tree_shape.add_argument("--leaf-depth", type=int, default=5)
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-nodes", type=int)
+    limits.add_argument("--time-budget", type=float)
+
+    p_gen = sub.add_parser("gen", parents=[tree_shape], help="build a graph and write its JSON")
     p_gen.add_argument("kind", choices=["path", "cycle", "tree", "g0", "product"])
     p_gen.add_argument("--n", type=int, help="vertex count for path/cycle")
-    p_gen.add_argument("--root-children", type=int, default=3)
-    p_gen.add_argument("--internal-children", type=int, default=2)
-    p_gen.add_argument("--leaf-depth", type=int, default=5)
     p_gen.add_argument("--base", help="base graph spec for products (e.g. path:24)")
     p_gen.add_argument("--inner", choices=[graphs.EMPTY, graphs.COMPLETE], default=graphs.EMPTY)
     p_gen.add_argument("--k", type=int, default=2)
     p_gen.add_argument("--output", help="write JSON here instead of stdout")
     p_gen.add_argument("--dot", help="additionally write DOT here")
 
-    p_color = sub.add_parser("color", help="run a coloring construction")
+    p_color = sub.add_parser("color", parents=[tree_shape], help="run a coloring construction")
     p_color.add_argument(
         "construction",
         choices=["path-empty", "path-rainbow", "path-complete", "tree-complete", "c7-fractional"],
     )
     p_color.add_argument("--n", type=int, help="path length")
     p_color.add_argument("--k", type=int, default=2, help="inner graph size")
-    p_color.add_argument("--root-children", type=int, default=3)
-    p_color.add_argument("--internal-children", type=int, default=2)
-    p_color.add_argument("--leaf-depth", type=int, default=5)
     p_color.add_argument("--path-bound", type=int, default=12)
     p_color.add_argument("--output")
 
-    p_verify = sub.add_parser("verify", help="check a coloring against a graph")
+    p_verify = sub.add_parser("verify", parents=[limits], help="check a coloring against a graph")
     p_verify.add_argument("graph", help="graph spec or JSON file")
     p_verify.add_argument("coloring", help="coloring JSON file")
     p_verify.add_argument("--bound", type=int, help="max path vertices (even)")
     p_verify.add_argument("--exact", action="store_true", help="check all even paths")
     p_verify.add_argument("--rainbow", action="store_true", help="also require rainbow layers")
     p_verify.add_argument("--walks", type=int, help="also check walks up to this length")
-    p_verify.add_argument("--max-nodes", type=int)
-    p_verify.add_argument("--time-budget", type=float)
     p_verify.add_argument("--output")
 
-    p_solve = sub.add_parser("solve", help="exact solve (thue / rainbow / tuple)")
+    p_solve = sub.add_parser("solve", parents=[limits], help="exact solve (thue / rainbow / tuple)")
     p_solve.add_argument(
         "graph", nargs="?", help="graph spec or JSON file; a product file in rainbow mode"
     )
     p_solve.add_argument("--mode", choices=["thue", "rainbow", "tuple"], default="thue")
     p_solve.add_argument("--p", type=int)
     p_solve.add_argument("--q", type=int)
-    p_solve.add_argument("--max-nodes", type=int)
-    p_solve.add_argument("--time-budget", type=float)
     p_solve.add_argument("--output")
 
     p_seq = sub.add_parser("seq", help="sequence generation and analysis")

@@ -210,9 +210,9 @@ def color_tree_complete(
     if depth != list(meta.level):
         raise ValueError("levels must be the distances from the root")
     coloring = _level_coloring(depth, k)
-    pg = lex_product(tree, COMPLETE, k)
     if path_bound:
-        witness = find_repetitive_path(pg.view, coloring.colors, path_bound)
+        view = lex_product(tree, COMPLETE, k).view
+        witness = find_repetitive_path(view, coloring.colors, path_bound)
         if witness is not None:
             raise AssertionError(f"level coloring repeats on path {witness.path}")
     return coloring

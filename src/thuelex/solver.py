@@ -19,7 +19,7 @@ The verifier is the only source of longer paths (lazy cuts):
    rainbow searches every pair of vertices in one layer.  They are built once
    per call and shared by every palette size, as is every cut added to them.
 2. Each complete coloring is checked by ``find_tuple_repetitive_path`` at
-   |V| rounded down to even (a plain color c is the set {c}); a graph of
+   the verifier's ``exact_bound`` (a plain color c is the set {c}); a graph of
    fewer than 2 vertices has no even path and is not checked.  A coloring
    that passes is the answer.
 3. The witness of one that fails, a repetitive path, is added as a cut to
@@ -52,7 +52,7 @@ from itertools import combinations
 from .colorings import Coloring, TupleColoring
 from .errors import Budget, ResourceLimitError
 from .graphs import Graph, ProductGraph, layer_vertices
-from .verifier import find_tuple_repetitive_path
+from .verifier import exact_bound, find_tuple_repetitive_path
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND = "lower_bound_only"
@@ -228,7 +228,7 @@ def _solve(
     buckets: list[list[tuple]] = [[] for _ in range(g.n)]
     for u, v in (*g.edges(), *layer_pairs):
         buckets[max(rank[u], rank[v])].append((u, v))
-    full = g.n - g.n % 2  # the exact check's bound: every even path
+    full = exact_bound(g)
 
     def check(sets):
         return find_tuple_repetitive_path(g, sets, full, budget=budget) if full else None

@@ -60,8 +60,8 @@ A graph with twins first runs the class search, which is exact.
    first extension.
 A graph without twins runs the vertex search alone.
 
-With max_vertices = |V| rounded down to even the check is exact; smaller
-bounds give sound but partial verification and the caller must say so.
+A bound of at least ``exact_bound(g)`` (|V| rounded down to even) is exact;
+smaller bounds give sound but partial verification and the caller must say so.
 
 Walks run the vertex search: every vertex has room for the whole walk, so a
 vertex may repeat; a completed repetition whose second half is its first
@@ -89,19 +89,19 @@ class RepetitionWitness:
     half_colors: tuple[int, ...]
 
 
+def exact_bound(g: Graph) -> int:
+    """|V| rounded down to even: a path bound is exact iff it is at least this."""
+    return g.n - g.n % 2
+
+
 def even_bound(g: Graph, max_vertices: int, *, walks: bool = False) -> int:
     """The vertex bound a search of paths (or, with ``walks``, of walks) of
     at most max_vertices vertices runs at.  The bound must be even and at
-    least 2 (ValueError otherwise); a path bound is clamped to |V| rounded
-    down to even."""
+    least 2 (ValueError otherwise); a path bound is clamped to
+    ``exact_bound(g)``."""
     if max_vertices < 2 or max_vertices % 2 != 0:
         raise ValueError(f"{'walk' if walks else 'path'} bound must be even and at least 2")
-    return max_vertices if walks else min(max_vertices, g.n - (g.n % 2))
-
-
-def is_exact_bound(g: Graph, max_vertices: int) -> bool:
-    """True iff the bound covers every even simple path of the graph."""
-    return max_vertices >= g.n - (g.n % 2)
+    return max_vertices if walks else min(max_vertices, exact_bound(g))
 
 
 def _search(adj, step, key, room, fits, lo: int, bound: int, budget: Budget):

@@ -181,6 +181,19 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["rainbow"] is False
 
+    @pytest.mark.parametrize("bound", ["3", "1", "-2"])
+    def test_bad_bound_refused_before_the_rainbow_check_exit_2(self, capsys, tmp_path, bound):
+        """The coloring is not rainbow, so a rainbow check run first would
+        exit 1 with its report."""
+        graph = tmp_path / "g.json"
+        run(capsys, "gen", "product", "--base", "path:2", "--inner", "empty",
+            "--k", "2", "--output", str(graph))
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 1, "colors": [0, 0, 0, 0]}))
+        code, out, err = run(capsys, "verify", str(graph), str(col), "--rainbow", "--bound", bound)
+        assert code == 2
+        assert out == "" and err == "error: path bound must be even and at least 2\n"
+
     def test_walks_flag(self, capsys, tmp_path):
         col = tmp_path / "c.json"
         col.write_text(json.dumps({"palette": 2, "colors": [0, 1, 0]}))

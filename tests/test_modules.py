@@ -120,3 +120,29 @@ def test_verifier_takes_plain_graphs():
         for alias in node.names
     }
     assert "ProductGraph" not in imported
+
+
+def _rounds_down_to_even(node) -> bool:
+    """Whether the expression is ``x - x % 2`` for some expression x."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Mod)
+        and isinstance(node.right.right, ast.Constant)
+        and node.right.right.value == 2
+        and ast.dump(node.left) == ast.dump(node.right.left)
+    )
+
+
+def test_exact_bound_has_one_owner():
+    """A path bound is exact iff it reaches |V| rounded down to even.  Only
+    ``verifier.exact_bound`` rounds down to even, so no other module can
+    restate when a check is exact."""
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if _rounds_down_to_even(node)
+    ]
+    assert len(found) == 1 and found[0].startswith("verifier.py:"), found
