@@ -31,7 +31,7 @@ ENV_NODE_BUDGET = "THUE_NODE_BUDGET"
 def _budget(max_nodes: int | None = None, time_budget: float | None = None) -> Budget:
     """The budget of one command's search: ``max_nodes`` (``--max-nodes``),
     else THUE_NODE_BUDGET, else the default; ``time_budget`` seconds from
-    now.  Call it right before the search, so input parsing is not timed."""
+    now.  Call it once the input is read, so reading it is not timed."""
     limits = {}
     raw = os.environ.get(ENV_NODE_BUDGET)
     if max_nodes is not None:
@@ -92,10 +92,7 @@ def _parse_graph_spec(spec: str | None) -> graphs.Graph | graphs.ProductGraph:
         return graphs.build_rooted_tree(a, b, c)[0]
     if spec == "g0":
         return graphs.build_outerplanar_g0()[0]
-    d = _read_json(spec)
-    if isinstance(d, dict) and "base" in d:
-        return graphs.product_from_json_dict(d)
-    return graphs.graph_from_json_dict(d)
+    return graphs.from_json_dict(_read_json(spec))
 
 
 def _required_n(n: int | None, what: str) -> int:
@@ -231,47 +228,39 @@ def _cmd_verify(args) -> int:
             raise ValueError("--rainbow needs a product graph")
         if not plain:
             raise ValueError("--rainbow applies to plain colorings")
-    report: dict = {"bound_used": bound, "exact": bound >= full}
+    budget = _budget(args.max_nodes, args.time_budget)
 
+    # the checks fill one report; the first failure ends them
+    report: dict = {"bound_used": bound, "exact": bound >= full}
+    failure = None
     if args.rainbow:
         report["rainbow"] = colorings.is_rainbow(g, col.colors)
         if not report["rainbow"]:
-            report["verified"] = False
-            _emit(report, args.output)
-            _note("not a rainbow coloring")
-            return EXIT_WITNESS
-
-    budget = _budget(args.max_nodes, args.time_budget)
-    if plain:
-        witness = verifier.find_repetitive_path(view, col.colors, bound, budget=budget)
-    else:
-        witness = verifier.find_tuple_repetitive_path(view, col.sets, bound, budget=budget)
-    if witness is not None:
-        report["verified"] = False
-        report["path"] = list(witness.path)
-        report["half_colors"] = list(witness.half_colors)
-        _emit(report, args.output)
-        human = " ".join(str(c + 1) for c in witness.half_colors)
-        _note(f"repetitive path found, first-half colors (1-based): {human}")
-        return EXIT_WITNESS
-
-    if args.walks:
+            failure = "not a rainbow coloring"
+    if failure is None:
+        if plain:
+            witness = verifier.find_repetitive_path(view, col.colors, bound, budget=budget)
+        else:
+            witness = verifier.find_tuple_repetitive_path(view, col.sets, bound, budget=budget)
+        if witness is not None:
+            report["path"] = list(witness.path)
+            report["half_colors"] = list(witness.half_colors)
+            human = " ".join(str(c + 1) for c in witness.half_colors)
+            failure = f"repetitive path found, first-half colors (1-based): {human}"
+    if failure is None and args.walks:
         report["walk_nonrepetitive"] = verifier.is_walk_nonrepetitive(
             view, col.colors, args.walks, budget=budget
         )
         if not report["walk_nonrepetitive"]:
-            report["verified"] = False
-            _emit(report, args.output)
-            _note(f"repetitively colored non-boring walk within {args.walks} vertices")
-            return EXIT_WITNESS
-
-    report["verified"] = True
+            failure = f"repetitively colored non-boring walk within {args.walks} vertices"
+    report["verified"] = failure is None
     _emit(report, args.output)
     if report["exact"]:
-        _note("verified: nonrepetitive (exact)")
+        passed = "verified: nonrepetitive (exact)"
     else:
-        _note(f"verified: no repetition up to 2l <= {bound} (bounded, not exact)")
-    return EXIT_OK
+        passed = f"verified: no repetition up to 2l <= {bound} (bounded, not exact)"
+    _note(failure or passed)
+    return EXIT_WITNESS if failure else EXIT_OK
 
 
 # -- solve --------------------------------------------------------------------
@@ -318,10 +307,10 @@ def _parse_sequence(arg: str) -> sequences.SymbolSeq:
 
 
 def _cmd_seq(args) -> int:
-    budget = _budget()  # no deadline, so it may be made before parsing
+    # gen, enumerate and kozik search; check and gaps read no budget
     if args.action == "gen":
         seq = sequences.gen_nonrepetitive(
-            args.sigma, args.len, args.palindrome_free, budget=budget
+            args.sigma, args.len, args.palindrome_free, budget=_budget()
         )
         if args.json:
             _emit(sequences.seq_to_json_dict(seq), args.output)
@@ -365,7 +354,7 @@ def _cmd_seq(args) -> int:
                 with_valley += 1
 
         total = sequences.enumerate_bounded_nonrep(
-            args.sigma, args.len, args.maxrep, visit, budget=budget
+            args.sigma, args.len, args.maxrep, visit, budget=_budget()
         )
         payload = {
             "count": total,
@@ -375,7 +364,7 @@ def _cmd_seq(args) -> int:
         _emit(payload, args.output)
         return EXIT_OK
     # kozik
-    seq = sequences.search_constrained(args.len, budget=budget)
+    seq = sequences.search_constrained(args.len, budget=_budget())
     certified = (
         sequences.find_repetition(seq) is None
         and sequences.is_palindrome_free(seq)

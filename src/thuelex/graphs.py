@@ -11,7 +11,6 @@ construction.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -262,11 +261,11 @@ def product_from_json_dict(d: dict) -> ProductGraph:
     return lex_product(graph_from_json_dict(d["base"]), d["inner"], d["k"])
 
 
-def loads_graph(text: str) -> Graph:
-    """Parse either a plain graph or a product (expanded to its view)."""
-    d = json.loads(text)
+def from_json_dict(d) -> Graph | ProductGraph:
+    """The graph or, when the document has a ``"base"``, the product that a
+    parsed JSON document holds."""
     if isinstance(d, dict) and "base" in d:
-        return product_from_json_dict(d).view
+        return product_from_json_dict(d)
     return graph_from_json_dict(d)
 
 

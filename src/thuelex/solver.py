@@ -206,19 +206,27 @@ def _rainbow(pg: ProductGraph) -> dict:
 def _solve(
     g: Graph,
     p: int,
-    palettes,
+    q: int,
     budget: Budget | None,
-    symmetry_breaking=True,
+    *,
+    optimum: bool = False,
+    tuples: bool = False,
+    symmetry_breaking: bool = True,
     order: list[int] | None = None,
     layer_pairs=(),
-) -> tuple[int | None, list[tuple[int, ...]] | None, int]:
-    """What every entry point runs: search the palette sizes in order under
-    the edges, the ``layer_pairs`` and the verifier's cuts, shared by every
-    size and all charged to one budget (a fresh ``Budget()`` for None), in
-    the given assignment order (BFS unless given).  Returns (q, sets, nodes):
-    the first feasible q and its sets; q = None when every size is
-    infeasible; sets = None with the q being decided when the budget ran
-    out; nodes is what this call charged."""
+) -> SolveResult:
+    """What every entry point runs: decide palette size q, or with
+    ``optimum`` find the least size >= q by ascending search up to
+    max(n, q) (distinct colors everywhere always work).  The sizes share
+    the edges, the ``layer_pairs`` and the verifier's cuts, all charged to
+    one budget (a fresh ``Budget()`` for None), in the given assignment
+    order (BFS unless given).  The witness is a ``TupleColoring`` with
+    ``tuples``, else a ``Coloring``.  An optimum is exact only when
+    feasibility at it and infeasibility below it both are: when the budget
+    runs out, an optimum search reports the size it was deciding as a lower
+    bound, and a decision reports a timeout."""
+    if q < 1:
+        raise ValueError("palette size must be positive")
     budget = budget or Budget()
     before = budget.spent
     order = order or bfs_order(g)
@@ -233,48 +241,24 @@ def _solve(
     def check(sets):
         return find_tuple_repetitive_path(g, sets, full, budget=budget) if full else None
 
-    q, sets = palettes[0], None
+    cap = max(g.n, q) if optimum else q
+    status, value, witness = STATUS_EXACT, False, None
     try:
-        for q in palettes:
+        for q in range(q, cap + 1):
             sets = _search(p, q, budget, order, buckets, check, symmetry_breaking=symmetry_breaking)
             if sets is not None:
+                value = q if optimum else True
+                witness = (
+                    TupleColoring(p, q, tuple(sets)) if tuples
+                    else Coloring(q, tuple(c for (c,) in sets))
+                )
                 break
         else:
-            q = None
+            if optimum:
+                status, value = STATUS_LOWER_BOUND, cap + 1
     except ResourceLimitError:
-        pass
-    return q, sets, budget.spent - before
-
-
-def _coloring(q: int, sets: list[tuple[int, ...]]) -> Coloring:
-    return Coloring(q, tuple(c for (c,) in sets))
-
-
-def _decide(
-    g: Graph, p: int, q: int, budget: Budget | None, witness=_coloring, **engine
-) -> SolveResult:
-    """Feasibility at palette size q; ``witness(q, sets)`` builds the
-    coloring returned with a feasible answer."""
-    if q < 1:
-        raise ValueError("palette size must be positive")
-    got, sets, nodes = _solve(g, p, [q], budget, **engine)
-    if sets is not None:
-        return SolveResult(STATUS_EXACT, True, witness(q, sets), nodes)
-    if got is None:
-        return SolveResult(STATUS_EXACT, False, None, nodes)
-    return SolveResult(STATUS_TIMEOUT, None, None, nodes)
-
-
-def _least_palette(g: Graph, first: int, budget: Budget | None, **engine) -> SolveResult:
-    """Smallest palette size >= first admitting a coloring, by ascending
-    search over one shared set of constraints up to q = max(n, first)
-    (distinct colors everywhere always work); exact only when feasibility at q and
-    infeasibility below q both are."""
-    cap = max(g.n, first)
-    q, sets, nodes = _solve(g, 1, range(first, cap + 1), budget, **engine)
-    if sets is not None:
-        return SolveResult(STATUS_EXACT, q, _coloring(q, sets), nodes)
-    return SolveResult(STATUS_LOWER_BOUND, cap + 1 if q is None else q, None, nodes)
+        status, value = (STATUS_LOWER_BOUND, q) if optimum else (STATUS_TIMEOUT, None)
+    return SolveResult(status, value, witness, budget.spent - before)
 
 
 def exists_coloring(
@@ -286,13 +270,13 @@ def exists_coloring(
 ) -> SolveResult:
     """Decide whether a nonrepetitive q-coloring of g exists (exact unless
     the budget runs out)."""
-    return _decide(g, 1, q, budget, symmetry_breaking=symmetry_breaking)
+    return _solve(g, 1, q, budget, symmetry_breaking=symmetry_breaking)
 
 
 def thue_number(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Smallest q admitting a nonrepetitive q-coloring, by ascending search;
     exact only when feasibility at q and infeasibility at q-1 both are."""
-    return _least_palette(g, 1, budget)
+    return _solve(g, 1, 1, budget, optimum=True)
 
 
 def rainbow_exists_coloring(
@@ -304,12 +288,12 @@ def rainbow_exists_coloring(
     which prunes tuple prefixes early); the first layer is canonically
     colored 0..k-1 by the combination of value symmetry breaking and the
     rainbow pair constraints."""
-    return _decide(pg.view, 1, q, budget, **_rainbow(pg))
+    return _solve(pg.view, 1, q, budget, **_rainbow(pg))
 
 
 def rainbow_thue_number(pg: ProductGraph, budget: Budget | None = None) -> SolveResult:
     """Smallest palette for a rainbow nonrepetitive coloring of the product."""
-    return _least_palette(pg.view, pg.k, budget, **_rainbow(pg))
+    return _solve(pg.view, 1, pg.k, budget, optimum=True, **_rainbow(pg))
 
 
 def exists_tuple_coloring(
@@ -320,4 +304,4 @@ def exists_tuple_coloring(
     length apart."""
     if not 1 <= p < q:
         raise ValueError("need 1 <= p < q")
-    return _decide(g, p, q, budget, lambda q, sets: TupleColoring(p, q, tuple(sets)))
+    return _solve(g, p, q, budget, tuples=True)

@@ -181,18 +181,43 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["rainbow"] is False
 
-    @pytest.mark.parametrize("bound", ["3", "1", "-2"])
-    def test_bad_bound_refused_before_the_rainbow_check_exit_2(self, capsys, tmp_path, bound):
-        """The coloring is not rainbow, so a rainbow check run first would
-        exit 1 with its report."""
+    def _non_rainbow_p2e2(self, capsys, tmp_path):
+        """A P_2[E_2] product file and a coloring of it that is not rainbow,
+        so a rainbow check run before the input checks would exit 1 with its
+        report."""
         graph = tmp_path / "g.json"
         run(capsys, "gen", "product", "--base", "path:2", "--inner", "empty",
             "--k", "2", "--output", str(graph))
         col = tmp_path / "c.json"
         col.write_text(json.dumps({"palette": 1, "colors": [0, 0, 0, 0]}))
-        code, out, err = run(capsys, "verify", str(graph), str(col), "--rainbow", "--bound", bound)
+        return str(graph), str(col)
+
+    @pytest.mark.parametrize("bound", ["3", "1", "-2"])
+    def test_bad_bound_refused_before_the_rainbow_check_exit_2(self, capsys, tmp_path, bound):
+        graph, col = self._non_rainbow_p2e2(capsys, tmp_path)
+        code, out, err = run(capsys, "verify", graph, col, "--rainbow", "--bound", bound)
         assert code == 2
         assert out == "" and err == "error: path bound must be even and at least 2\n"
+
+    @pytest.mark.parametrize(
+        "env, flags",
+        [
+            (None, ("--max-nodes", "0")),
+            (None, ("--time-budget", "0")),
+            (None, ("--time-budget", "nan")),
+            ("abc", ()),
+        ],
+        ids=["--max-nodes", "--time-budget", "--time-budget-nan", "THUE_NODE_BUDGET"],
+    )
+    def test_bad_budget_refused_before_the_rainbow_check_exit_2(
+        self, capsys, tmp_path, monkeypatch, env, flags
+    ):
+        graph, col = self._non_rainbow_p2e2(capsys, tmp_path)
+        if env is not None:
+            monkeypatch.setenv("THUE_NODE_BUDGET", env)
+        code, out, err = run(capsys, "verify", graph, col, "--rainbow", "--bound", "4", *flags)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "budget" in err.lower()
 
     def test_walks_flag(self, capsys, tmp_path):
         col = tmp_path / "c.json"
@@ -325,8 +350,14 @@ class TestVerify:
                 {"palette": 2, "colors": [0, 0, 1, 1]},
             ),
             ({"n": True, "edges": []}, {"palette": 1, "colors": [0]}),
+            ("path:4", {"palette": 2}),
+            ({"base": {"n": 2, "edges": [[0, 1]]}}, {"palette": 2, "colors": [0, 0, 1, 1]}),
+            ("empty:0", {"palette": 1, "colors": [0]}),
         ],
-        ids=["colors", "edge-endpoint", "set-member", "palette", "product-k", "bool-n"],
+        ids=[
+            "colors", "edge-endpoint", "set-member", "palette", "product-k", "bool-n",
+            "neither-colors-nor-sets", "product-without-inner-and-k", "empty-0",
+        ],
     )
     def test_non_integer_json_exit_2(self, capsys, tmp_path, graph, coloring):
         if isinstance(graph, dict):
@@ -380,6 +411,30 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, argv):
     flat.write_text(json.dumps({"palette": 1, "colors": [0]}))
     argv = [a.format(deep=deep, flat=flat) for a in argv]
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{product}", "{sets}", "--rainbow", "--bound", "2"),
+        ("gen", "tree", "--internal-children", "-1"),
+        ("color", "path-rainbow", "--n", "0"),
+        ("color", "path-complete", "--n", "0"),
+        ("seq", "gen", "--sigma", "27", "--len", "3"),
+        ("seq", "enumerate", "--maxrep", "1"),
+    ],
+    ids=[
+        "rainbow-tuple-coloring", "negative-internal-children", "path-rainbow-n-0",
+        "path-complete-n-0", "letters-beyond-z", "maxrep-1",
+    ],
+)
+def test_invalid_value_exit_2(capsys, tmp_path, argv):
+    product, sets = tmp_path / "p.json", tmp_path / "c.json"
+    product.write_text(json.dumps({"base": {"n": 2, "edges": [[0, 1]]}, "inner": "empty", "k": 2}))
+    sets.write_text(json.dumps({"p": 1, "q": 2, "sets": [[0], [1], [0], [1]]}))
+    code, out, err = run(capsys, *(a.format(product=product, sets=sets) for a in argv))
     assert code == 2
     assert out == "" and err.startswith("error: ")
 
@@ -663,6 +718,15 @@ class TestSeq:
         code, out, err = run(capsys, "seq", "gen", "--len", "10000000")
         assert code == 3
         assert out == "" and "10000000 letters" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("check", "ABAB"), ("gaps", "CBABCBA")], ids=["check", "gaps"]
+    )
+    def test_check_and_gaps_read_no_budget(self, capsys, monkeypatch, argv):
+        want = run(capsys, "seq", *argv)
+        assert want[0] == 0
+        monkeypatch.setenv("THUE_NODE_BUDGET", "abc")
+        assert run(capsys, "seq", *argv) == want
 
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THUE_NODE_BUDGET", "zero")

@@ -190,8 +190,12 @@ class TestTreeComplete:
             (C4_AND_P4, (0, 1, 2, 1, 0, 1, 2, 3)),
             (build_path(8), (0, 1, 0, 1, 0, 1, 0, 1)),
             (C4_AND_P4, (0, 1, 2, 1, -1, -1, -1, -1)),
+            (build_path(3), (0, 1)),
         ],
-        ids=["negative-levels", "disconnected", "levels-not-distances", "negative-disconnected"],
+        ids=[
+            "negative-levels", "disconnected", "levels-not-distances", "negative-disconnected",
+            "wrong-length",
+        ],
     )
     def test_rejects_levels_that_are_not_distances(self, tree, level):
         with pytest.raises(ValueError):

@@ -16,9 +16,9 @@ from thuelex import (
     lex_product,
 )
 from thuelex.graphs import (
+    from_json_dict,
     graph_from_json_dict,
     graph_to_json_dict,
-    loads_graph,
     product_from_json_dict,
     product_to_json_dict,
     to_dot,
@@ -211,9 +211,11 @@ class TestSerialization:
         back = product_from_json_dict(json.loads(json.dumps(d)))
         assert back.view == pg.view and back.k == 2 and back.inner_kind == EMPTY
 
-    def test_loads_graph_product_expands(self):
+    def test_from_json_dict_reads_graph_or_product(self):
         pg = lex_product(build_path(4), EMPTY, 2)
-        assert loads_graph(json.dumps(product_to_json_dict(pg))) == pg.view
+        assert from_json_dict(json.loads(json.dumps(product_to_json_dict(pg)))) == pg
+        g = build_cycle(5)
+        assert from_json_dict(json.loads(json.dumps(graph_to_json_dict(g)))) == g
 
     def test_malformed(self):
         for bad in (

@@ -146,3 +146,44 @@ def test_exact_bound_has_one_owner():
         if _rounds_down_to_even(node)
     ]
     assert len(found) == 1 and found[0].startswith("verifier.py:"), found
+
+
+def _calls_by_function(name):
+    """``module.function`` of every module-level function, once per call in
+    it (nested functions included) to a callee spelled ``name``."""
+    return [
+        f"{module}.{fn.name}"
+        for module, tree in _modules().items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_solve_result_constructor():
+    """``solver._solve`` decides status, value, witness and nodes once, for
+    every entry point, so no other function builds a ``SolveResult``."""
+    assert _calls_by_function("SolveResult") == ["solver._solve"]
+
+
+def test_verify_writes_one_report():
+    """``verify`` checks all of its input first, so its checks fill one
+    report that one ``_emit`` writes."""
+    assert _calls_by_function("_emit").count("cli._cmd_verify") == 1
+
+
+def test_graph_or_product_rule_has_one_owner():
+    """A JSON document with a ``"base"`` is a product; only the graphs
+    module says so."""
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == "base"
+        and isinstance(node.ops[0], ast.In)
+    ]
+    assert len(found) == 1 and found[0].startswith("graphs.py:"), found
