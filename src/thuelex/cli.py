@@ -184,7 +184,9 @@ def _cmd_color(args) -> int:
         return EXIT_OK
     if args.construction == "tree-complete":
         base, meta = _tree(args)
-        col = colorings.color_tree_complete(base, meta, args.k, path_bound=args.path_bound)
+        col = colorings.color_tree_complete(
+            base, meta, args.k, path_bound=args.path_bound, budget=_budget()
+        )
         inner = graphs.COMPLETE
     else:
         construct, inner = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import Budget
 from .graphs import (
     COMPLETE,
     Graph,
@@ -165,6 +166,7 @@ def color_tree_complete(
     k: int,
     *,
     path_bound: int = 12,
+    budget: Budget | None = None,
 ) -> Coloring:
     """4k-coloring of T[K_k]: the vertex at level l with clique index j gets
     color (d_l, j), d the driving word over four symbols.
@@ -192,7 +194,9 @@ def color_tree_complete(
        equal colors give x_(i+l) = x_i.
     The ``path_bound`` check stays as a guard: a repetition it finds refutes
     this proof and raises AssertionError.  It takes find_repetitive_path's
-    bounds (even and at least 2, else ValueError); 0 skips it."""
+    bounds (even and at least 2, else ValueError); 0 skips it.  It charges
+    ``budget`` as find_repetitive_path does, and raises ResourceLimitError
+    once that is spent."""
     if k < 1:
         raise ValueError("need k >= 1")
     if len(meta.level) != tree.n or not 0 <= meta.root < tree.n:
@@ -212,7 +216,7 @@ def color_tree_complete(
     coloring = _level_coloring(depth, k)
     if path_bound:
         view = lex_product(tree, COMPLETE, k).view
-        witness = find_repetitive_path(view, coloring.colors, path_bound)
+        witness = find_repetitive_path(view, coloring.colors, path_bound, budget=budget)
         if witness is not None:
             raise AssertionError(f"level coloring repeats on path {witness.path}")
     return coloring

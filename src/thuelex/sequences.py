@@ -18,6 +18,15 @@ first word, the lexicographically least witness, and raise NoSuchSequenceError
 when there is none; the bounded sweep takes all of them, so every result is
 deterministic.  Words are byte strings, so an alphabet has 1 to 256 symbols.
 Search budgets default to 10^8 expansions.
+
+Each placed letter can only end new squares.  Periods below _BLOCK (16) are
+found through the occurrences of the letter in the last _BLOCK positions.  A
+square of a longer period l ends both halves with the same _BLOCK letters, so
+its first half ends at an earlier position where the block now ending also
+ended; an index from blocks to those positions names the few candidates, and
+one compare of the other l - _BLOCK letters confirms each.  A letter thus
+costs about _BLOCK/sigma probes plus the block's repeats, not a scan of half
+the word.
 """
 
 from __future__ import annotations
@@ -27,6 +36,9 @@ from dataclasses import dataclass
 from .errors import Budget, NoSuchSequenceError, ResourceLimitError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# Block length of the word engine's long-period index (see _square_free_words)
+_BLOCK = 16
+_BYTES = tuple(bytes((x,)) for x in range(256))
 
 
 def _check_alphabet(sigma: int):
@@ -170,9 +182,21 @@ def _square_free_words(
     fewer left is refused before the buffers are allocated.
 
     Incremental check: after placing position p, only squares ending at p can
-    be new.  Candidate periods l >= 2 are read off the occurrence list of the
-    placed symbol (the halves' last letters must match), then confirmed with
-    one probe and a memcmp of the remaining overlap.
+    be new; the halves of a square of period l are buf[p-2l+1 .. p-l] and
+    buf[p-l+1 .. p].
+    - Periods l < _BLOCK are read off the occurrence list of the placed
+      symbol (the halves' last letters match), back to position p-_BLOCK+1,
+      and each is confirmed with one probe and a memcmp of the overlap.
+    - Periods l >= _BLOCK: the last _BLOCK letters of both halves agree, so
+      the first half ends at a position j = p-l whose _BLOCK-letter block
+      equals the one ending at p.  An index from each block to the placed
+      positions it ends at, pushed on placement and popped on undo, lists
+      exactly these j; each is confirmed by one memcmp of the other l-_BLOCK
+      letters.  The index is kept only when max_period >= _BLOCK.
+    Every candidate is accepted or refused as by a scan of every period, so
+    the words, their order and the nodes charged do not depend on _BLOCK;
+    the check costs about _BLOCK/sigma probes plus the block's repeats in the
+    window, where a scan of the occurrence list costs about p/(2 sigma).
     """
     if length == 0:
         yield bytearray()
@@ -186,11 +210,21 @@ def _square_free_words(
     view = memoryview(buf)
     occ: list[list[int]] = [[] for _ in range(sigma)]
     start_from = [0] * length
+    # long periods: the latest position each _BLOCK-letter block ends at,
+    # and for each position the previous one with the same block (or -1)
+    indexed = max_l >= _BLOCK
+    latest: dict[bytes, int] = {}
+    earlier = [-1] * length
+    short_l = min(max_l, _BLOCK - 1)  # periods left to the occurrence lists
     pos = 0
     charge = budget.charge
     while True:
         placed = False
-        lo = pos - min((pos + 1) // 2, max_l)  # least i with period pos-i allowed
+        lo = pos - min((pos + 1) // 2, short_l)  # least i with period pos-i checked
+        head = None
+        if indexed and pos >= _BLOCK - 1:
+            head = view[pos - _BLOCK + 1 : pos].tobytes()  # the block less its last letter
+            lo_long = pos - min((pos + 1) // 2, max_l)
         for x in range(start_from[pos], sigma):
             charge()
             if pos >= 1 and buf[pos - 1] == x:
@@ -204,7 +238,6 @@ def _square_free_words(
                 if i < lo:
                     break
                 l = pos - i
-                # halves are buf[pos-2l+1 .. pos-l] and buf[pos-l+1 .. pos]
                 if buf[pos - 2 * l + 1] != buf[i + 1]:
                     continue
                 if l == 2 or view[pos - 2 * l + 2 : pos - l] == view[i + 2 : pos]:
@@ -212,8 +245,24 @@ def _square_free_words(
                     break
             if not ok:
                 continue
+            if head is not None:
+                # no listed j exceeds pos - _BLOCK: equal blocks at distance
+                # d < _BLOCK would hold a square of period d, refused above
+                key = head + _BYTES[x]
+                j = latest.get(key, -1)
+                while j >= lo_long:
+                    l = pos - j
+                    if view[j - l + 1 : j - _BLOCK + 1] == view[pos - l + 1 : pos - _BLOCK + 1]:
+                        ok = False
+                        break
+                    j = earlier[j]
+                if not ok:
+                    continue
             buf[pos] = x
             occ[x].append(pos)
+            if head is not None:
+                earlier[pos] = latest.get(key, -1)
+                latest[key] = pos
             start_from[pos] = x + 1
             placed = True
             break
@@ -229,6 +278,12 @@ def _square_free_words(
         if pos < 0:
             return
         occ[buf[pos]].pop()
+        if indexed and pos >= _BLOCK - 1:
+            key = view[pos - _BLOCK + 1 : pos + 1].tobytes()
+            if earlier[pos] < 0:
+                del latest[key]
+            else:
+                latest[key] = earlier[pos]
 
 
 def _least_word(sigma: int, length: int, what: str, budget: Budget | None, **constraints):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,18 @@ class TestColor:
         )
         assert code == 2
         assert out == "" and "even" in err
+
+    def test_tree_complete_guard_reads_node_budget(self, capsys, monkeypatch):
+        # the bound-24 search of this guard takes minutes without a budget
+        monkeypatch.setenv("THUE_NODE_BUDGET", "10")
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "color", "tree-complete", "--k", "2", "--leaf-depth", "8",
+            "--path-bound", "24",
+        )
+        assert code == 3
+        assert time.monotonic() - started < 10
+        assert out == "" and "budget of 10 nodes" in err
 
     def test_tree_complete_k0_exit_2(self, capsys):
         code, out, err = run(capsys, "color", "tree-complete", "--k", "0")

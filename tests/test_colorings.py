@@ -5,9 +5,11 @@ import pytest
 from thuelex import (
     COMPLETE,
     EMPTY,
+    Budget,
     Coloring,
     Graph,
     LayerColorSets,
+    ResourceLimitError,
     RootedTreeMeta,
     TupleColoring,
     build_path,
@@ -158,6 +160,15 @@ class TestTreeComplete:
         assert col.palette == 4
         pg = lex_product(tree, COMPLETE, 1)
         assert find_repetitive_path(pg.view, col.colors, 12) is None
+
+    def test_guard_charges_the_budget(self):
+        tree, meta = build_rooted_tree(3, 2, 5)
+        budget = Budget(10)
+        with pytest.raises(ResourceLimitError):
+            color_tree_complete(tree, meta, 2, budget=budget)
+        assert budget.spent == 11
+        want = color_tree_complete(tree, meta, 2, path_bound=4)
+        assert color_tree_complete(tree, meta, 2, path_bound=4, budget=Budget()) == want
 
     def test_path_shaped_tree_matches_path_construction(self):
         tree, meta = build_rooted_tree(1, 1, 3)  # P_4 rooted at an end

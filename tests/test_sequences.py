@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_find_repetition, naive_palindrome_free
+from thuelex import sequences
 from thuelex import (
     Budget,
     GapProfile,
@@ -24,6 +26,58 @@ from thuelex import (
 
 def seq(text: str, sigma=None) -> SymbolSeq:
     return SymbolSeq.from_str(text, sigma)
+
+
+CD = frozenset({(2, 3), (3, 2)})
+# every alphabet with and without each extra constraint of the word engine
+CONSTRAINTS = [
+    (sigma, palindrome_free, banned)
+    for sigma in (2, 3, 4)
+    for palindrome_free in (False, True)
+    for banned in (frozenset(), CD)
+]
+
+
+def naive_walk(sigma, length, max_period=None, palindrome_free=False, banned=frozenset()):
+    """Backtrack over words of at most ``length`` letters in lexicographic
+    order, trying every symbol at every position and checking each extended
+    word against the definitions as a whole.  Yields ``(word, nodes)`` at
+    every letter placed, ``nodes`` counting the symbols tried so far, and
+    ``(None, nodes)`` once the search is exhausted."""
+    word = []
+    nodes = 0
+
+    def allowed():
+        return (
+            naive_find_repetition(word, max_period) is None
+            and (not palindrome_free or naive_palindrome_free(word))
+            and tuple(word[-2:]) not in banned
+        )
+
+    def extend():
+        nonlocal nodes
+        if len(word) == length:
+            return
+        for x in range(sigma):
+            nodes += 1
+            word.append(x)
+            if allowed():
+                yield tuple(word), nodes
+                yield from extend()
+            word.pop()
+
+    yield from extend()
+    yield None, nodes
+
+
+def engine_words(sigma, length, max_period=None, palindrome_free=False, banned=frozenset()):
+    """Every word of the engine, as tuples, and the nodes it charged."""
+    budget = Budget(float("inf"))
+    words = sequences._square_free_words(
+        sigma, length, max_period=max_period, palindrome_free=palindrome_free,
+        banned_adjacent=banned, budget=budget,
+    )
+    return [tuple(w) for w in words], budget.spent
 
 
 short_words = st.lists(st.integers(0, 3), max_size=28).map(
@@ -266,18 +320,51 @@ class TestNodeBudget:
     """Every candidate symbol costs one node, so these least budgets are exact."""
 
     @pytest.mark.parametrize(
-        "search, least",
+        "search, least, sha256",
         [
-            (lambda b: gen_nonrepetitive(3, 40, budget=Budget(b)), 82),
-            (lambda b: gen_nonrepetitive(4, 100, True, budget=Budget(b)), 240),
-            (lambda b: search_constrained(60, budget=Budget(b)), 206),
+            (
+                lambda b: gen_nonrepetitive(3, 40, budget=Budget(b)),
+                82,
+                "d31d4718f4fe235b966255b2aa0335e99b24aee523eea82774915dc1f37e3274",
+            ),
+            (
+                lambda b: gen_nonrepetitive(4, 100, True, budget=Budget(b)),
+                240,
+                "86a44f329ec524ad8c594b0b7d45ef39b20c12ca0f49171b92157e1b0c361598",
+            ),
+            (
+                lambda b: search_constrained(60, budget=Budget(b)),
+                206,
+                "2592ca751ac52035260f7dbf4523da6cf805afbe9d2c876365d827db655afb5f",
+            ),
+            # long enough that most squares are refused through the block
+            # index; pinned from the occurrence-list scan alone
+            (
+                lambda b: gen_nonrepetitive(3, 10000, budget=Budget(b)),
+                22001,
+                "e46e72439e3fee1c07f609e6b084dd2be374ba5a9c8cc879a72413983fe64557",
+            ),
+            (
+                lambda b: gen_nonrepetitive(4, 10000, True, budget=Budget(b)),
+                23523,
+                "a687629c67dbdf6370ac7f0c2eb1a9bbad07b31c4ffdbe59b5c6f57062a45adb",
+            ),
+            (
+                lambda b: search_constrained(2000, budget=Budget(b)),
+                8629,
+                "73b7f8715735c8c3d589d638e08c1547a8013e43c853de82bd0bc22db0a449d9",
+            ),
         ],
-        ids=["ternary-40", "palindrome-free-100", "constrained-60"],
+        ids=[
+            "ternary-40", "palindrome-free-100", "constrained-60",
+            "ternary-10000", "palindrome-free-10000", "constrained-2000",
+        ],
     )
-    def test_least_budget(self, search, least):
+    def test_least_budget(self, search, least, sha256):
         with pytest.raises(ResourceLimitError):
             search(least - 1)
-        assert search(least) is not None
+        word = search(least)
+        assert hashlib.sha256(bytes(word.symbols)).hexdigest() == sha256
 
     def test_length_beyond_budget_is_refused_before_allocating(self):
         # a word of 10^12 letters would need a terabyte of buffers
@@ -291,6 +378,96 @@ class TestNodeBudget:
             gen_nonrepetitive(3, 6, True, budget=Budget(83))
         with pytest.raises(NoSuchSequenceError):
             gen_nonrepetitive(3, 6, True, budget=Budget(84))
+
+
+class TestEngineDifferential:
+    """The word engine against a naive backtracker on the definitions: the
+    same words in the same order, for the same nodes."""
+
+    K = sequences._BLOCK
+
+    @pytest.mark.parametrize("sigma, palindrome_free, banned", CONSTRAINTS)
+    def test_first_word_and_nodes_up_to_three_blocks(self, sigma, palindrome_free, banned):
+        # the first word of each length is where the walk first reaches that
+        # depth; exhausted lengths cost the whole finite tree
+        top = 3 * self.K
+        want = {}
+        exhausted = None
+        for word, nodes in naive_walk(sigma, top, None, palindrome_free, banned):
+            if word is None:
+                exhausted = nodes
+                break
+            want.setdefault(len(word), (word, nodes))
+            if len(word) == top:
+                break
+        for length in range(1, top + 1):
+            budget = Budget(float("inf"))
+            words = sequences._square_free_words(
+                sigma, length, palindrome_free=palindrome_free, banned_adjacent=banned,
+                budget=budget,
+            )
+            first = next(words, None)
+            got = (None if first is None else tuple(first), budget.spent)
+            assert got == want.get(length, (None, exhausted)), length
+
+    @pytest.mark.parametrize("sigma, palindrome_free, banned", CONSTRAINTS)
+    def test_every_word_around_two_short_blocks(self, monkeypatch, sigma, palindrome_free, banned):
+        # a block of 3 puts the index boundary where naive checks are cheap
+        block = 3
+        monkeypatch.setattr(sequences, "_BLOCK", block)
+        length = 2 * block + 2
+        for max_period in (block - 1, block, block + 1, None):
+            walk = list(naive_walk(sigma, length, max_period, palindrome_free, banned))
+            want = [w for w, _ in walk if w is not None and len(w) == length]
+            assert engine_words(sigma, length, max_period, palindrome_free, banned) == (
+                want, walk[-1][1]
+            ), max_period
+
+    def test_squares_at_a_short_block_boundary_occur(self, monkeypatch):
+        # the lists above hold squares of period block - 1, block and block + 1:
+        # raising max_period to each removes words
+        block = 3
+        monkeypatch.setattr(sequences, "_BLOCK", block)
+        counts = [
+            len(engine_words(4, 2 * block + 2, p, False, CD)[0])
+            for p in range(block - 2, block + 2)
+        ]
+        assert counts == sorted(set(counts), reverse=True)
+
+    @pytest.mark.parametrize("max_period", [K - 1, K, K + 1, None])
+    def test_every_word_around_two_blocks_matches_the_scan(self, monkeypatch, max_period):
+        # 6 648 words of 34 letters, 96 of them with a square of period 16:
+        # the index gives the words and nodes of the occurrence-list scan alone
+        got = engine_words(4, 2 * self.K + 2, max_period, True, CD)
+        monkeypatch.setattr(sequences, "_BLOCK", 2 * self.K + 3)
+        assert got == engine_words(4, 2 * self.K + 2, max_period, True, CD)
+
+    @pytest.mark.parametrize(
+        "sigma, palindrome_free, text",
+        [
+            (3, False, "010201210120212010201210120212"),
+            (3, False, "01020121020102120102012102010212"),
+            (4, True, "0120130120310210312012301203102103120123"),
+        ],
+        ids=["period-15", "period-16", "period-17"],
+    )
+    def test_squares_at_the_block_boundary_are_refused(self, sigma, palindrome_free, text):
+        # each word's shortest squares have a period p next to the block:
+        # the engine yields it below max_period p and refuses it at p
+        word = tuple(int(c) for c in text)
+        p = naive_find_repetition(word)[1]
+        assert abs(p - self.K) <= 1 and naive_find_repetition(word, p - 1) is None
+
+        def yields_word(max_period):
+            for w in sequences._square_free_words(
+                sigma, len(word), max_period=max_period, palindrome_free=palindrome_free,
+                budget=Budget(float("inf")),
+            ):
+                if tuple(w) >= word:
+                    return tuple(w) == word
+            return False
+
+        assert yields_word(p - 1) and not yields_word(p)
 
 
 class TestSearchConstrained:
