@@ -19,26 +19,33 @@ when there is none; the bounded sweep takes all of them, so every result is
 deterministic.  Words are byte strings, so an alphabet has 1 to 256 symbols.
 Search budgets default to 10^8 expansions.
 
-Each placed letter can only end new squares.  Periods below _BLOCK (16) are
-found through the occurrences of the letter in the last _BLOCK positions.  A
-square of a longer period l ends both halves with the same _BLOCK letters, so
-its first half ends at an earlier position where the block now ending also
-ended; an index from blocks to those positions names the few candidates, and
-one compare of the other l - _BLOCK letters confirms each.  A letter thus
-costs about _BLOCK/sigma probes plus the block's repeats, not a scan of half
-the word.
+Squares of a period l >= _BLOCK (16) are found through repeated segments:
+the maximal runs of positions i with buf[i] == buf[i-l].  A square of period
+l is a run of l such positions, so it lies in one segment.  A segment of at
+least _BLOCK - 1 positions starts with a (_BLOCK-1)-letter tail that also
+occurs l letters earlier, and the letters before the two copies differ (or
+the earlier copy starts the word), since otherwise the segment would reach
+one position further left.  An index from each tail to the letters before
+it, and from each of those to the positions the tail ends at, therefore
+names every such segment exactly once, where its first _BLOCK - 1 positions
+end; each is then checked once.  The word engine checks a segment where it
+could first close a square; find_repetition checks whether it is at least l
+positions long.  Shorter periods are found through the occurrences of the
+placed letter in the engine and through one xor pass each in
+find_repetition.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import Budget, NoSuchSequenceError, ResourceLimitError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-# Block length of the word engine's long-period index (see _square_free_words)
+# Least period found through repeated segments, whose tails have _BLOCK - 1
+# letters (see the module docstring)
 _BLOCK = 16
-_BYTES = tuple(bytes((x,)) for x in range(256))
 
 
 def _check_alphabet(sigma: int):
@@ -135,6 +142,40 @@ def _least_square_start(buf: bytes, period: int) -> int | None:
     return i if i >= 0 else None
 
 
+def _new_segments(index: dict, earlier: list, view, p: int, block: int, lo: int, keep: bool):
+    """The ends j >= lo of the earlier tails that open a repeated segment at
+    p, and the entry that p joined (None unless ``keep``).
+
+    The tail at p is view[p-block+2 .. p], and the letter before it is
+    view[p-block+1], or -1 when the tail starts the word.  ``index`` maps
+    each tail to {letter before: latest end}, and ``earlier[j]`` links an end
+    to the previous end of the same tail and letter.  Each earlier end j of
+    the same tail with another letter before it opens a segment of period
+    p - j whose first block - 1 positions end at p (see the module
+    docstring).  The ends are read newest first, so each chain stops at lo,
+    and an end of -1 stands for none.  With ``keep`` the tail at p is
+    entered; the caller pops it by setting the returned entry's value for
+    the letter before back to earlier[p].
+    """
+    tail = view[p - block + 2 : p + 1].tobytes()
+    before = view[p - block + 1] if p >= block - 1 else -1
+    ends = index.get(tail)
+    found = []
+    if ends is not None:
+        for c, j in ends.items():
+            if c != before:
+                while j >= lo:
+                    found.append(j)
+                    j = earlier[j]
+    if keep:
+        if ends is None:
+            ends = index[tail] = {}
+        earlier[p] = ends.get(before, -1)
+        ends[before] = p
+        return found, ends
+    return found, None
+
+
 def find_repetition(
     seq: SymbolSeq, max_period: int | None = None
 ) -> tuple[int, int] | None:
@@ -142,18 +183,51 @@ def find_repetition(
 
     "Least" orders by start first, then period.  Returns None if the sequence
     contains no repetition of period <= max_period (default: half the
-    length; ValueError if it is below 1)."""
+    length; ValueError if it is below 1).
+
+    Periods below _BLOCK take one xor pass each.  A square of a longer period
+    l lies in a segment (see the module docstring), and if the segment has
+    at least l positions from its left end s on, the square at s - l
+    (0-based) is the least of period l in it.  Each segment of at least
+    _BLOCK - 1 positions is named once, at p = s + _BLOCK - 2, and one
+    compare of positions p+1 .. s+l-1 with those l back tells whether it
+    reaches l positions.  The answer is the least (start, l) over the xor
+    passes and those segments.  Tails that can only open squares starting
+    after the best one found so far are not kept, and the scan stops when
+    no segment named later can start earlier.
+    """
     n = len(seq.symbols)
     if max_period is None:
         max_period = n // 2
     elif max_period < 1:
         raise ValueError(f"max period must be at least 1, got {max_period}")
     buf = bytes(seq.symbols)
+    top = min(max_period, n // 2)
+    block = _BLOCK
     best = None
-    for l in range(1, min(max_period, n // 2) + 1):
+    for l in range(1, min(top, block - 1) + 1):
         s = _least_square_start(buf, l)
         if s is not None and (best is None or (s + 1, l) < best):
             best = (s + 1, l)
+    if top < block:
+        return best
+    view = memoryview(buf)
+    index: dict = {}
+    earlier = [-1] * n
+    for p in range(block - 2, n - 1):
+        # a segment named at p starts at s and can hold periods l up to n - s
+        s = p - block + 2
+        lo = max(p - min(top, n - s), block - 2)
+        # a tail ending at j opens squares that start at j - block + 2
+        if best is not None and lo - block + 3 > best[0]:
+            break  # every later square starts after the best one
+        keep = p <= n - block - 2 and (best is None or p - block + 3 <= best[0])
+        found, _ = _new_segments(index, earlier, view, p, block, lo, keep)
+        for j in found:
+            l = p - j
+            if l >= block and (best is None or (s - l + 1, l) < best):
+                if view[p + 1 : s + l] == view[p + 1 - l : s]:
+                    best = (s - l + 1, l)
     return best
 
 
@@ -187,16 +261,23 @@ def _square_free_words(
     - Periods l < _BLOCK are read off the occurrence list of the placed
       symbol (the halves' last letters match), back to position p-_BLOCK+1,
       and each is confirmed with one probe and a memcmp of the overlap.
-    - Periods l >= _BLOCK: the last _BLOCK letters of both halves agree, so
-      the first half ends at a position j = p-l whose _BLOCK-letter block
-      equals the one ending at p.  An index from each block to the placed
-      positions it ends at, pushed on placement and popped on undo, lists
-      exactly these j; each is confirmed by one memcmp of the other l-_BLOCK
-      letters.  The index is kept only when max_period >= _BLOCK.
+    - Periods l >= _BLOCK: such a square fills the segment of positions i
+      with buf[i] == buf[i-l] from s = p-l+1 to p, and the segment starts at
+      s exactly: had it started earlier, buf[p-2l .. p-1] would be a square
+      of the prefix, which is square-free.  So the placement of s+_BLOCK-2,
+      before p, named the segment (see the module docstring), and only then:
+      the segment could close a square at due = s+l-1 = p, and only with the
+      letter buf[p-l].  The segment waits in a list for position due; on
+      reaching it, one memcmp of buf[s+_BLOCK-1 .. p-1] with the letters l
+      back tells whether that letter is refused.  Undo pops the index entry
+      and the segments that the placement pushed.  The index is kept only
+      when max_period >= _BLOCK, and only for tails some square of the word
+      can start with.
     Every candidate is accepted or refused as by a scan of every period, so
-    the words, their order and the nodes charged do not depend on _BLOCK;
-    the check costs about _BLOCK/sigma probes plus the block's repeats in the
-    window, where a scan of the occurrence list costs about p/(2 sigma).
+    the words, their order and the nodes charged do not depend on _BLOCK.
+    A placement costs about _BLOCK/sigma probes and one lookup, and each
+    segment one memcmp, where a scan of the occurrence list costs about
+    p/(2 sigma) probes.
     """
     if length == 0:
         yield bytearray()
@@ -206,25 +287,39 @@ def _square_free_words(
             f"a word of {length} letters needs more nodes than the budget has left"
         )
     max_l = length if max_period is None else max_period
+    block = _BLOCK
     buf = bytearray(length)
     view = memoryview(buf)
     occ: list[list[int]] = [[] for _ in range(sigma)]
     start_from = [0] * length
-    # long periods: the latest position each _BLOCK-letter block ends at,
-    # and for each position the previous one with the same block (or -1)
-    indexed = max_l >= _BLOCK
-    latest: dict[bytes, int] = {}
+    short_l = min(max_l, block - 1)  # periods left to the occurrence lists
+    # long periods: the tail index of _new_segments, the entry each
+    # placement joined, and the pending segments as a stack of (period l,
+    # due position) with a list per due position through head and nxt
+    indexed = max_l >= block
+    keep_to = length - block - 2  # the last tail that can open a square
+    index: dict = {}
     earlier = [-1] * length
-    short_l = min(max_l, _BLOCK - 1)  # periods left to the occurrence lists
+    joined: list = [None] * length
+    head = array("i", [-1]) * length
+    nxt = array("i")
+    per = array("i")
+    due = array("i")
     pos = 0
     charge = budget.charge
     while True:
         placed = False
         lo = pos - min((pos + 1) // 2, short_l)  # least i with period pos-i checked
-        head = None
-        if indexed and pos >= _BLOCK - 1:
-            head = view[pos - _BLOCK + 1 : pos].tobytes()  # the block less its last letter
-            lo_long = pos - min((pos + 1) // 2, max_l)
+        refused = ()
+        if indexed:
+            e = head[pos]
+            while e >= 0:
+                l = per[e]
+                # the segment named at pos-l+block-1 holds its square now if
+                # it reached pos-1
+                if view[pos - l + block : pos] == view[pos - 2 * l + block : pos - l]:
+                    refused += (buf[pos - l],)
+                e = nxt[e]
         for x in range(start_from[pos], sigma):
             charge()
             if pos >= 1 and buf[pos - 1] == x:
@@ -232,6 +327,8 @@ def _square_free_words(
             if palindrome_free and pos >= 2 and buf[pos - 2] == x:
                 continue
             if pos >= 1 and (buf[pos - 1], x) in banned_adjacent:
+                continue
+            if x in refused:
                 continue
             ok = True
             for i in reversed(occ[x]):
@@ -245,24 +342,23 @@ def _square_free_words(
                     break
             if not ok:
                 continue
-            if head is not None:
-                # no listed j exceeds pos - _BLOCK: equal blocks at distance
-                # d < _BLOCK would hold a square of period d, refused above
-                key = head + _BYTES[x]
-                j = latest.get(key, -1)
-                while j >= lo_long:
-                    l = pos - j
-                    if view[j - l + 1 : j - _BLOCK + 1] == view[pos - l + 1 : pos - _BLOCK + 1]:
-                        ok = False
-                        break
-                    j = earlier[j]
-                if not ok:
-                    continue
             buf[pos] = x
             occ[x].append(pos)
-            if head is not None:
-                earlier[pos] = latest.get(key, -1)
-                latest[key] = pos
+            # the tail here is kept if a later square can start with it, and
+            # looked up if a segment named here can still close a square: it
+            # is due at pos-block+1+l, with l >= block
+            if indexed and (block - 2 <= pos <= keep_to or block * 2 - 2 <= pos < length - 1):
+                lo_long = max(pos - min(max_l, length - pos + block - 2), block - 2)
+                found, joined[pos] = _new_segments(
+                    index, earlier, view, pos, block, lo_long, pos <= keep_to
+                )
+                for j in found:
+                    l = pos - j
+                    d = pos - block + 1 + l
+                    nxt.append(head[d])
+                    head[d] = len(per)
+                    per.append(l)
+                    due.append(d)
             start_from[pos] = x + 1
             placed = True
             break
@@ -278,12 +374,12 @@ def _square_free_words(
         if pos < 0:
             return
         occ[buf[pos]].pop()
-        if indexed and pos >= _BLOCK - 1:
-            key = view[pos - _BLOCK + 1 : pos + 1].tobytes()
-            if earlier[pos] < 0:
-                del latest[key]
-            else:
-                latest[key] = earlier[pos]
+        if indexed:
+            if block - 2 <= pos <= keep_to:
+                joined[pos][buf[pos - block + 1] if pos >= block - 1 else -1] = earlier[pos]
+            while per and due[-1] - per[-1] + block - 1 == pos:
+                head[due.pop()] = nxt.pop()
+                per.pop()
 
 
 def _least_word(sigma: int, length: int, what: str, budget: Budget | None, **constraints):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -85,6 +86,62 @@ short_words = st.lists(st.integers(0, 3), max_size=28).map(
 )
 
 
+def xor_scan(symbols, max_period=None):
+    """Least (start, period), 1-based, from one xor pass per period: the word
+    against its shift by the period, where a square is a run of ``period``
+    zero bytes.  Fast enough for words of a few thousand letters, and held
+    to naive_find_repetition on short ones."""
+    buf = bytes(symbols)
+    n = len(buf)
+    top = n // 2 if max_period is None else min(max_period, n // 2)
+    best = None
+    for l in range(1, top + 1):
+        m = n - l
+        z = (int.from_bytes(buf[:m], "big") ^ int.from_bytes(buf[l:], "big")).to_bytes(m, "big")
+        i = z.find(bytes(l))
+        if i >= 0 and (best is None or (i + 1, l) < best):
+            best = (i + 1, l)
+    return best
+
+
+def long_period_words():
+    """Words whose least squares fall on both sides of the block length, by
+    kind: a square of each period 1-400 planted in square-free words over 3
+    and 4 letters, one letter repeated, short periods repeated, square-free
+    blocks repeated, and square-free words written twice, whole or in part."""
+    rng = random.Random(18)
+    bases = (gen_nonrepetitive(3, 900).symbols, gen_nonrepetitive(4, 900, True).symbols)
+    planted = []
+    for base in bases:
+        for period in range(1, 401):
+            start = rng.randrange(len(base) - 2 * period - 59)
+            xs = list(base[start : start + 2 * period + 60])
+            at = rng.randrange(61)
+            xs[at + period : at + 2 * period] = xs[at : at + period]
+            planted.append(xs)
+    one_letter = [[0] * n for n in (0, 1, 2, 31, 32, 33, 34, 35, 100, 777)]
+    periodic = [
+        [bases[0][i % q] for i in range(n)]
+        for q in (2, 3, 7, 15, 16, 17, 18, 40) for n in (2 * q - 1, 2 * q, 3 * q + 1, 500)
+    ]
+    block_repeats = []
+    for _ in range(60):
+        pieces = [bases[0][at : at + rng.randrange(5, 41)] for at in rng.sample(range(850), 4)]
+        block_repeats.append([x for _ in range(rng.randrange(2, 30)) for x in rng.choice(pieces)])
+    twice = []
+    for _ in range(60):
+        at, n = rng.randrange(400), rng.randrange(1, 450)
+        w = list(bases[0][at : at + n])
+        twice += [w + w, w + w[: rng.randrange(n)]]
+    return {
+        "planted": planted, "one-letter": one_letter, "periodic": periodic,
+        "block-repeats": block_repeats, "twice": twice,
+    }
+
+
+LONG_PERIOD_WORDS = long_period_words()
+
+
 class TestFindRepetition:
     def test_examples(self):
         assert find_repetition(seq("ABAB")) == (1, 2)
@@ -106,6 +163,34 @@ class TestFindRepetition:
     @given(short_words)
     def test_matches_naive(self, s):
         assert find_repetition(s) == naive_find_repetition(s.symbols)
+
+    @settings(max_examples=300)
+    @given(short_words)
+    def test_matches_naive_with_a_short_block(self, s):
+        # a block of 3 sends every period from 3 on through the segments
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_BLOCK", 3)
+            assert find_repetition(s) == naive_find_repetition(s.symbols)
+            assert find_repetition(s, 3) == naive_find_repetition(s.symbols, 3)
+
+    @settings(max_examples=300)
+    @given(short_words, st.integers(1, 15))
+    def test_xor_scan_matches_naive(self, s, max_period):
+        assert xor_scan(s.symbols, max_period) == naive_find_repetition(s.symbols, max_period)
+        assert xor_scan(s.symbols) == naive_find_repetition(s.symbols)
+
+    @pytest.mark.parametrize("kind", list(LONG_PERIOD_WORDS))
+    def test_long_periods_match_the_xor_scan(self, kind):
+        k = sequences._BLOCK
+        periods = set()
+        for xs in LONG_PERIOD_WORDS[kind]:
+            s = SymbolSeq(tuple(xs), 4)
+            for max_period in (k - 1, k, k + 1, None):
+                want = xor_scan(xs, max_period)
+                assert find_repetition(s, max_period) == want, (len(xs), max_period)
+            periods.add(want and want[1])
+        # the least squares of the planted words have every period up to 400
+        assert kind != "planted" or set(range(1, 401)) <= periods
 
     @settings(max_examples=200)
     @given(short_words, st.permutations(range(4)))
@@ -354,10 +439,28 @@ class TestNodeBudget:
                 8629,
                 "73b7f8715735c8c3d589d638e08c1547a8013e43c853de82bd0bc22db0a449d9",
             ),
+            # wide alphabets: the least words use 14 letters, and each tail
+            # follows several of them, so many segments wait at once
+            (
+                lambda b: gen_nonrepetitive(26, 10000, budget=Budget(b)),
+                19995,
+                "070ab5b4251243c11edc4f4073daf232276f40cdaf65579c8eaa00daad3e4120",
+            ),
+            (
+                lambda b: gen_nonrepetitive(256, 10000, budget=Budget(b)),
+                19995,
+                "070ab5b4251243c11edc4f4073daf232276f40cdaf65579c8eaa00daad3e4120",
+            ),
+            (
+                lambda b: gen_nonrepetitive(256, 10000, True, budget=Budget(b)),
+                23327,
+                "9592ab276f7867222f5de0b468f38c8190fb3a9cc4c48222e8e9a0b1d97199bc",
+            ),
         ],
         ids=[
             "ternary-40", "palindrome-free-100", "constrained-60",
             "ternary-10000", "palindrome-free-10000", "constrained-2000",
+            "sigma-26-10000", "sigma-256-10000", "sigma-256-palindrome-free-10000",
         ],
     )
     def test_least_budget(self, search, least, sha256):
@@ -387,9 +490,12 @@ class TestEngineDifferential:
     K = sequences._BLOCK
 
     @pytest.mark.parametrize("sigma, palindrome_free, banned", CONSTRAINTS)
-    def test_first_word_and_nodes_up_to_three_blocks(self, sigma, palindrome_free, banned):
+    def test_first_word_and_nodes_up_to_three_blocks(
+        self, monkeypatch, sigma, palindrome_free, banned
+    ):
         # the first word of each length is where the walk first reaches that
-        # depth; exhausted lengths cost the whole finite tree
+        # depth; exhausted lengths cost the whole finite tree.  A block of 3
+        # leaves segments of periods up to 24 waiting up to 21 letters.
         top = 3 * self.K
         want = {}
         exhausted = None
@@ -400,15 +506,17 @@ class TestEngineDifferential:
             want.setdefault(len(word), (word, nodes))
             if len(word) == top:
                 break
-        for length in range(1, top + 1):
-            budget = Budget(float("inf"))
-            words = sequences._square_free_words(
-                sigma, length, palindrome_free=palindrome_free, banned_adjacent=banned,
-                budget=budget,
-            )
-            first = next(words, None)
-            got = (None if first is None else tuple(first), budget.spent)
-            assert got == want.get(length, (None, exhausted)), length
+        for block in (self.K, 3):
+            monkeypatch.setattr(sequences, "_BLOCK", block)
+            for length in range(1, top + 1):
+                budget = Budget(float("inf"))
+                words = sequences._square_free_words(
+                    sigma, length, palindrome_free=palindrome_free, banned_adjacent=banned,
+                    budget=budget,
+                )
+                first = next(words, None)
+                got = (None if first is None else tuple(first), budget.spent)
+                assert got == want.get(length, (None, exhausted)), (block, length)
 
     @pytest.mark.parametrize("sigma, palindrome_free, banned", CONSTRAINTS)
     def test_every_word_around_two_short_blocks(self, monkeypatch, sigma, palindrome_free, banned):
