@@ -60,9 +60,9 @@ print(" ", show_layers(col3, 2, 12))
 # 4k-coloring of P_10[K_2]; layer color sets are the four disjoint blocks.
 col4 = color_path_complete(10, 2)
 pg4 = lex_product(build_path(10), COMPLETE, 2)
-sets = layer_color_sets(pg4, col4)
+sets = layer_color_sets(pg4, col4.colors)
 print(f"\nP_10[K_2] with {col4.palette} colors; layer sets:")
-print(" ", [sorted(s) for s in sets.sets])
+print(" ", [sorted(s) for s in sets])
 
 # Trees: level-driven coloring of T_3,6[K_1], checked at the 12-vertex bound.
 tree, meta = build_rooted_tree(3, 2, 5)

@@ -57,22 +57,6 @@ class TupleColoring:
                 raise ValueError(f"set {s} is not an ascending subset of 0..{self.q - 1}")
 
 
-@dataclass(frozen=True)
-class LayerColorSets:
-    """Colors appearing in each layer of a product, indexed by base vertex."""
-
-    k: int
-    sets: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class LabelSequence:
-    """Partial labeling of layer color sets by 'A', 'B', 'C' (None where the
-    labeling procedure assigns nothing)."""
-
-    labels: tuple[str | None, ...]
-
-
 # The least word of length L is not always a prefix of the least word of
 # length L+1 (the first counterexamples sit at L=11/12 for the four-letter
 # palindrome-free word and L=7/8 for the ternary one).  Slicing a run padded
@@ -222,7 +206,7 @@ def color_tree_complete(
     return coloring
 
 
-def _layer_sets(pg: ProductGraph, colors) -> tuple[frozenset[int], ...]:
+def layer_color_sets(pg: ProductGraph, colors) -> tuple[frozenset[int], ...]:
     """The set of colors in each layer of the product, by base vertex."""
     colors = tuple(colors)
     if len(colors) != pg.view.n:
@@ -236,20 +220,15 @@ def _pairwise_disjoint(*sets) -> bool:
     return len(frozenset().union(*sets)) == sum(map(len, sets))
 
 
-def layer_color_sets(pg: ProductGraph, coloring: Coloring) -> LayerColorSets:
-    """Per-base-vertex set of colors appearing in that layer."""
-    return LayerColorSets(pg.k, _layer_sets(pg, coloring.colors))
-
-
 def is_rainbow(pg: ProductGraph, colors) -> bool:
     """True iff every layer's colors are pairwise distinct."""
-    return all(len(s) == pg.k for s in _layer_sets(pg, colors))
+    return all(len(s) == pg.k for s in layer_color_sets(pg, colors))
 
 
 def check_path4_trichotomy(pg: ProductGraph, colors) -> bool:
     """For every 4-vertex path in the base graph, the color sets of the first
     three layers or of the last three layers must be pairwise disjoint."""
-    layer_sets = _layer_sets(pg, colors)
+    layer_sets = layer_color_sets(pg, colors)
     base = pg.base
     for a in range(base.n):
         for b in base.adj[a]:
@@ -270,26 +249,26 @@ def is_rich(x, y, k: int) -> bool:
     return len(frozenset(x) & frozenset(y)) >= (k + 1) // 2 + 1
 
 
-def label_layers(sets: LayerColorSets, k: int) -> LabelSequence:
-    """Seed A, B, C on the first three consecutive pairwise disjoint sets
-    (skipping at most the first set), then extend left to right: each set
-    copies the label of its largest rich labeled predecessor.
+def label_layers(sets, k: int) -> tuple[str | None, ...]:
+    """Label a sequence of color sets by 'A', 'B', 'C': seed A, B, C on the
+    first three consecutive pairwise disjoint sets (skipping at most the
+    first set), then extend left to right: each set copies the label of its
+    largest rich labeled predecessor.
 
-    Positions with no rich labeled predecessor stay unlabeled; if no seed
-    exists the sequence comes back fully unlabeled."""
-    s = sets.sets
-    n = len(s)
+    Positions with no rich labeled predecessor stay None; if no seed exists
+    every position is None."""
+    n = len(sets)
     labels: list[str | None] = [None] * n
-    seed = next((t for t in (0, 1) if t + 3 <= n and _pairwise_disjoint(*s[t : t + 3])), None)
+    seed = next((t for t in (0, 1) if t + 3 <= n and _pairwise_disjoint(*sets[t : t + 3])), None)
     if seed is None:
-        return LabelSequence(tuple(labels))
+        return tuple(labels)
     labels[seed], labels[seed + 1], labels[seed + 2] = "A", "B", "C"
     for i in range(seed + 3, n):
         for j in range(i - 1, -1, -1):
-            if labels[j] is not None and is_rich(s[i], s[j], k):
+            if labels[j] is not None and is_rich(sets[i], sets[j], k):
                 labels[i] = labels[j]
                 break
-    return LabelSequence(tuple(labels))
+    return tuple(labels)
 
 
 def c7_fractional_example() -> TupleColoring:

@@ -253,9 +253,6 @@ def _solve(
                     else Coloring(q, tuple(c for (c,) in sets))
                 )
                 break
-        else:
-            if optimum:
-                status, value = STATUS_LOWER_BOUND, cap + 1
     except ResourceLimitError:
         status, value = (STATUS_LOWER_BOUND, q) if optimum else (STATUS_TIMEOUT, None)
     return SolveResult(status, value, witness, budget.spent - before)

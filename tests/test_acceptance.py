@@ -165,8 +165,8 @@ def test_criterion_07_path_complete_and_richness():
         r = exists_coloring(pk.view, 7)
         assert r.status == "exact" and r.value is True
         assert find_repetitive_path(pk.view, r.witness.colors, 12) is None
-        sets = layer_color_sets(pk, r.witness)
-        labels = label_layers(sets, 2).labels
+        sets = layer_color_sets(pk, r.witness.colors)
+        labels = label_layers(sets, 2)
         assert any(l is not None for l in labels)
         by_label = {}
         for i, l in enumerate(labels):
@@ -174,9 +174,9 @@ def test_criterion_07_path_complete_and_richness():
                 by_label.setdefault(l, []).append(i)
         for positions in by_label.values():
             for a, b in zip(positions, positions[1:]):
-                assert len(sets.sets[a] & sets.sets[b]) >= 2
+                assert len(sets[a] & sets[b]) >= 2
             for a, b in zip(positions, positions[2:]):
-                assert len(sets.sets[a] & sets.sets[b]) >= 2
+                assert len(sets[a] & sets[b]) >= 2
 
 
 def test_criterion_08_length22_sweep():

@@ -357,6 +357,7 @@ class TestVerify:
             ("path:4", {"palette": 3, "colors": ["a", "b", "c", "a"]}),
             ({"n": 2, "edges": [["x", 1]]}, {"palette": 2, "colors": [0, 1]}),
             ("path:2", {"p": 1, "q": 2, "sets": [[0], ["x"]]}),
+            ("cycle:5", {"p": 2, "q": 5, "sets": "x"}),
             ("path:2", {"palette": "2", "colors": [0, 1]}),
             (
                 {"base": {"n": 2, "edges": [[0, 1]]}, "inner": "empty", "k": "2"},
@@ -368,7 +369,7 @@ class TestVerify:
             ("empty:0", {"palette": 1, "colors": [0]}),
         ],
         ids=[
-            "colors", "edge-endpoint", "set-member", "palette", "product-k", "bool-n",
+            "colors", "edge-endpoint", "set-member", "sets", "palette", "product-k", "bool-n",
             "neither-colors-nor-sets", "product-without-inner-and-k", "empty-0",
         ],
     )

@@ -8,7 +8,6 @@ from thuelex import (
     Budget,
     Coloring,
     Graph,
-    LayerColorSets,
     ResourceLimitError,
     RootedTreeMeta,
     TupleColoring,
@@ -255,29 +254,29 @@ class TestLayerSets:
         k = 3
         pg = lex_product(build_path(8), EMPTY, k)
         col = color_path_empty(8, k)
-        sets = layer_color_sets(pg, col)
+        sets = layer_color_sets(pg, col.colors)
         for b in range(8):
             j = b + 1
             if j % 4 in (2, 0):
-                assert len(sets.sets[b]) == 1
+                assert len(sets[b]) == 1
 
     def test_rainbow_layers_have_size_k(self):
         k = 2
         pg = lex_product(build_path(9), COMPLETE, k)
         col = color_path_complete(9, k)
-        sets = layer_color_sets(pg, col)
-        assert all(len(s) == k for s in sets.sets)
+        sets = layer_color_sets(pg, col.colors)
+        assert all(len(s) == k for s in sets)
 
     def test_k1_singletons(self):
         pg = lex_product(build_path(5), EMPTY, 1)
         col = color_path_empty(5, 1)
-        sets = layer_color_sets(pg, col)
-        assert all(len(s) == 1 for s in sets.sets)
+        sets = layer_color_sets(pg, col.colors)
+        assert all(len(s) == 1 for s in sets)
 
     def test_size_mismatch(self):
         pg = lex_product(build_path(3), EMPTY, 2)
         with pytest.raises(ValueError):
-            layer_color_sets(pg, Coloring(3, (0, 1, 2)))
+            layer_color_sets(pg, (0, 1, 2))
 
 
 class TestRich:
@@ -290,44 +289,20 @@ class TestRich:
 
 class TestLabeling:
     def test_seed_then_repeat(self):
-        sets = LayerColorSets(
-            2,
-            (
-                frozenset({0, 1}),
-                frozenset({2, 3}),
-                frozenset({4, 5}),
-                frozenset({0, 1}),
-            ),
-        )
-        assert label_layers(sets, 2).labels == ("A", "B", "C", "A")
+        sets = ({0, 1}, {2, 3}, {4, 5}, {0, 1})
+        assert label_layers(sets, 2) == ("A", "B", "C", "A")
 
     def test_all_overlapping_unlabeled(self):
-        sets = LayerColorSets(2, tuple(frozenset({0, i}) for i in range(1, 6)))
-        assert label_layers(sets, 2).labels == (None,) * 5
+        sets = [{0, i} for i in range(1, 6)]
+        assert label_layers(sets, 2) == (None,) * 5
 
     def test_skips_first_set(self):
-        sets = LayerColorSets(
-            2,
-            (
-                frozenset({0, 2}),
-                frozenset({0, 1}),
-                frozenset({2, 3}),
-                frozenset({4, 5}),
-            ),
-        )
-        assert label_layers(sets, 2).labels == (None, "A", "B", "C")
+        sets = ({0, 2}, {0, 1}, {2, 3}, {4, 5})
+        assert label_layers(sets, 2) == (None, "A", "B", "C")
 
     def test_unrelated_set_stays_unlabeled(self):
-        sets = LayerColorSets(
-            2,
-            (
-                frozenset({0, 1}),
-                frozenset({2, 3}),
-                frozenset({4, 5}),
-                frozenset({6, 7}),
-            ),
-        )
-        assert label_layers(sets, 2).labels == ("A", "B", "C", None)
+        sets = ({0, 1}, {2, 3}, {4, 5}, {6, 7})
+        assert label_layers(sets, 2) == ("A", "B", "C", None)
 
 
 class TestProposition1:
@@ -373,6 +348,12 @@ class TestC7Fractional:
             (2, 6),
             (5, 7),
         ]
+
+
+class TestColoringValidation:
+    def test_color_outside_palette_rejected(self):
+        with pytest.raises(ValueError, match="outside palette"):
+            Coloring(3, (0, 3))
 
 
 class TestTupleColoringValidation:

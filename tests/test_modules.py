@@ -187,3 +187,13 @@ def test_graph_or_product_rule_has_one_owner():
         and isinstance(node.ops[0], ast.In)
     ]
     assert len(found) == 1 and found[0].startswith("graphs.py:"), found
+
+
+def test_layer_analyses_take_colors():
+    """The layer analyses take the product and the color tuple, and read the
+    layers through one function, so no second layer-set helper or value box
+    can come back unnoticed."""
+    for fn in (thuelex.layer_color_sets, thuelex.is_rainbow, thuelex.check_path4_trichotomy):
+        assert list(inspect.signature(fn).parameters) == ["pg", "colors"], fn.__name__
+    found = [f for f in _calls_by_function("layer_vertices") if f.startswith("colorings.")]
+    assert found == ["colorings.layer_color_sets"]

@@ -105,6 +105,12 @@ class TestThueNumber:
     def test_k4(self):
         assert thue_number(build_complete(4)).value == 4
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_single_layer_rainbow(self, k):
+        """The first palette of P_1[E_k], k, is also the last one tried."""
+        r = rainbow_thue_number(lex_product(build_path(1), EMPTY, k))
+        assert r.status == "exact" and r.value == k
+
     def test_subgraph_monotonicity(self):
         values = [thue_number(build_path(n)).value for n in range(3, 9)]
         assert values == sorted(values)
