@@ -163,10 +163,10 @@ def _cmd_gen(args) -> int:
         _note(f"product: {g.n} vertices, {g.m} edges")
     else:  # path, cycle: the graph of the inline spec kind:n
         g = _parse_graph_spec(f"{args.kind}:{_required_n(args.n, args.kind)}")
-    _emit(doc if args.kind == "product" else graphs.graph_to_json_dict(g), args.output)
-    if args.dot:
+    if args.dot:  # first, so an unwritable DOT target leaves no other output
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graphs.to_dot(g))
+    _emit(doc if args.kind == "product" else graphs.graph_to_json_dict(g), args.output)
     return EXIT_OK
 
 

@@ -9,9 +9,7 @@ same coloring and prefixes restrict consistently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import Budget
+from .errors import Budget, FrozenValue
 from .graphs import (
     COMPLETE,
     Graph,
@@ -24,37 +22,42 @@ from .sequences import gen_nonrepetitive
 from .verifier import find_repetitive_path
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(FrozenValue):
     """Vertex -> color map with a declared palette size."""
 
     palette: int
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.palette) is not int or self.palette < 1:
+    def __init__(self, palette, colors):
+        if type(palette) is not int or palette < 1:
             raise ValueError("palette must be a positive integer")
-        for c in self.colors:
-            if not 0 <= c < self.palette:
-                raise ValueError(f"color {c} outside palette of size {self.palette}")
+        for c in colors:
+            if not 0 <= c < palette:
+                raise ValueError(f"color {c} outside palette of size {palette}")
+        fields = self.__dict__
+        fields["palette"] = palette
+        fields["colors"] = colors
 
 
-@dataclass(frozen=True)
-class TupleColoring:
+class TupleColoring(FrozenValue):
     """Vertex -> p-subset of {0..q-1}; each subset strictly ascending."""
 
     p: int
     q: int
     sets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not (type(self.p) is int and type(self.q) is int and 1 <= self.p < self.q):
+    def __init__(self, p, q, sets):
+        if not (type(p) is int and type(q) is int and 1 <= p < q):
             raise ValueError("need integers 1 <= p < q")
-        for s in self.sets:
-            if len(s) != self.p or len(set(s)) != self.p:
-                raise ValueError(f"set {s} is not a {self.p}-subset")
-            if list(s) != sorted(s) or not all(0 <= c < self.q for c in s):
-                raise ValueError(f"set {s} is not an ascending subset of 0..{self.q - 1}")
+        for s in sets:
+            if len(s) != p or len(set(s)) != p:
+                raise ValueError(f"set {s} is not a {p}-subset")
+            if list(s) != sorted(s) or not all(0 <= c < q for c in s):
+                raise ValueError(f"set {s} is not an ascending subset of 0..{q - 1}")
+        fields = self.__dict__
+        fields["p"] = p
+        fields["q"] = q
+        fields["sets"] = sets
 
 
 # The least word of length L is not always a prefix of the least word of

@@ -1,7 +1,12 @@
-"""Exception types and the one search budget type shared across the package.
+"""Exception types, the one search budget type and the frozen-value base
+shared across the package.
 
 Invalid arguments raise the stdlib ValueError everywhere; only outcomes that
-callers are expected to branch on get their own class.
+callers are expected to branch on get their own class.  ``FrozenValue`` gives
+every value type of the package (graphs, colorings, sequences, results and
+witnesses) equality, hashing, a repr and immutability from plain methods, so
+that a command's start-up imports no class generator (nor ``inspect``, which
+such generators pull in) and generates no code.
 """
 
 import time
@@ -40,3 +45,41 @@ class Budget:
             raise ResourceLimitError(f"search exceeded its budget of {self.max_nodes} nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("search exceeded its time budget")
+
+
+class FrozenValue:
+    """Immutable value data.  A subclass declares its fields, in order, as
+    class annotations; its own ``__init__`` validates them and stores each in
+    ``self.__dict__``.  Values of the same class are equal when their fields
+    are, and equal values hash alike; a value never equals one of another
+    class.  Assigning or deleting an attribute raises AttributeError.
+    Instances keep a ``__dict__``, so ``copy``, ``deepcopy`` and ``pickle``
+    restore the fields without calling ``__init__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen value")

@@ -12,15 +12,15 @@ construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+
+from .errors import FrozenValue
 
 EMPTY = "empty"
 COMPLETE = "complete"
 INNER_KINDS = (EMPTY, COMPLETE)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenValue):
     """Simple undirected graph with strictly ascending adjacency tuples.
 
     Invariants (checked at construction): adjacency is symmetric, no
@@ -30,16 +30,16 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n, adj):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         seen = set()
-        for u, nbrs in enumerate(self.adj):
+        for u, nbrs in enumerate(adj):
             prev = -1
             for v in nbrs:
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise ValueError(f"neighbor {v} of {u} out of range")
                 if v == u:
                     raise ValueError(f"self-loop at {u}")
@@ -50,6 +50,9 @@ class Graph:
         for u, v in seen:
             if (v, u) not in seen:
                 raise ValueError(f"edge {u}-{v} is not symmetric")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["adj"] = adj
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -87,8 +90,7 @@ class Graph:
                     yield (u, v)
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(FrozenValue):
     """A lexicographic product base[E_k] or base[K_k].
 
     ``view`` is the expanded product graph; vertex (b, j) has id b*k + j.
@@ -99,13 +101,24 @@ class ProductGraph:
     inner_kind: str
     view: Graph
 
+    def __init__(self, base, k, inner_kind, view):
+        fields = self.__dict__
+        fields["base"] = base
+        fields["k"] = k
+        fields["inner_kind"] = inner_kind
+        fields["view"] = view
 
-@dataclass(frozen=True)
-class RootedTreeMeta:
+
+class RootedTreeMeta(FrozenValue):
     """Root id and per-vertex distance from the root."""
 
     root: int
     level: tuple[int, ...]
+
+    def __init__(self, root, level):
+        fields = self.__dict__
+        fields["root"] = root
+        fields["level"] = level
 
 
 def build_path(n: int) -> Graph:

@@ -38,9 +38,8 @@ find_repetition.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
-from .errors import Budget, NoSuchSequenceError, ResourceLimitError
+from .errors import Budget, FrozenValue, NoSuchSequenceError, ResourceLimitError
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Least period found through repeated segments, whose tails have _BLOCK - 1
@@ -54,18 +53,20 @@ def _check_alphabet(sigma: int):
         raise ValueError(f"alphabet size must be between 1 and 256, got {sigma}")
 
 
-@dataclass(frozen=True)
-class SymbolSeq:
+class SymbolSeq(FrozenValue):
     """Finite sequence over the alphabet {0, .., sigma-1}, 1 <= sigma <= 256."""
 
     symbols: tuple[int, ...]
     sigma: int
 
-    def __post_init__(self):
-        _check_alphabet(self.sigma)
-        for x in self.symbols:
-            if not 0 <= x < self.sigma:
-                raise ValueError(f"symbol {x} outside alphabet of size {self.sigma}")
+    def __init__(self, symbols, sigma):
+        _check_alphabet(sigma)
+        for x in symbols:
+            if not 0 <= x < sigma:
+                raise ValueError(f"symbol {x} outside alphabet of size {sigma}")
+        fields = self.__dict__
+        fields["symbols"] = symbols
+        fields["sigma"] = sigma
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -105,16 +106,19 @@ def seq_from_json_dict(d: dict) -> SymbolSeq:
     return SymbolSeq(tuple(symbols), d["sigma"])
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(FrozenValue):
     """Peak positions (1-based, ascending) and the gaps between them."""
 
     peaks: tuple[int, ...]
     gaps: tuple[int, ...]
 
+    def __init__(self, peaks, gaps):
+        fields = self.__dict__
+        fields["peaks"] = peaks
+        fields["gaps"] = gaps
 
-@dataclass(frozen=True)
-class ValleyPattern:
+
+class ValleyPattern(FrozenValue):
     """Result of matching a valley against the three canonical shapes.
 
     ``pattern`` is 1, 2 or 3 (the middle gap), ``window`` is the matched
@@ -125,6 +129,12 @@ class ValleyPattern:
     pattern: int
     window: tuple[int, int]
     letter_map: tuple[int, int, int]
+
+    def __init__(self, pattern, window, letter_map):
+        fields = self.__dict__
+        fields["pattern"] = pattern
+        fields["window"] = window
+        fields["letter_map"] = letter_map
 
 
 def _least_square_start(buf: bytes, period: int) -> int | None:

@@ -46,11 +46,10 @@ not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .colorings import Coloring, TupleColoring
-from .errors import Budget, ResourceLimitError
+from .errors import Budget, FrozenValue, ResourceLimitError
 from .graphs import Graph, ProductGraph, layer_vertices
 from .verifier import exact_bound, find_tuple_repetitive_path
 
@@ -59,8 +58,7 @@ STATUS_LOWER_BOUND = "lower_bound_only"
 STATUS_TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(FrozenValue):
     """Outcome of a solver call.
 
     status "exact": ``value`` is the decided feasibility (bool) or optimum
@@ -75,6 +73,13 @@ class SolveResult:
     value: int | bool | None
     witness: Coloring | TupleColoring | None
     nodes_explored: int
+
+    def __init__(self, status, value, witness, nodes_explored):
+        fields = self.__dict__
+        fields["status"] = status
+        fields["value"] = value
+        fields["witness"] = witness
+        fields["nodes_explored"] = nodes_explored
 
 
 def bfs_order(g: Graph) -> list[int]:

@@ -72,21 +72,24 @@ the bound is not clamped to |V|.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import Budget
+from .errors import Budget, FrozenValue
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class RepetitionWitness:
+class RepetitionWitness(FrozenValue):
     """An even path whose color string is a repetition; ``half_colors`` are
     the l colors of the first half (for tuple colorings, the least color
     common to positions i and i+l)."""
 
     path: tuple[int, ...]
     half_colors: tuple[int, ...]
+
+    def __init__(self, path, half_colors):
+        fields = self.__dict__
+        fields["path"] = path
+        fields["half_colors"] = half_colors
 
 
 def exact_bound(g: Graph) -> int:

@@ -80,6 +80,18 @@ class TestGen:
         assert code == 0
         assert dot.read_text().startswith("graph G {")
 
+    def test_unwritable_dot_writes_nothing_exit_2(self, capsys, tmp_path):
+        dot = tmp_path / "missing" / "g.dot"
+        code, out, err = run(capsys, "gen", "path", "--n", "3", "--dot", str(dot))
+        assert code == 2
+        assert out == "" and "error" in err
+        out_file = tmp_path / "g.json"
+        code, out, _ = run(
+            capsys, "gen", "path", "--n", "3", "--dot", str(dot), "--output", str(out_file)
+        )
+        assert code == 2
+        assert out == "" and not out_file.exists()
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "gen", "path", "--n", "12")
         _, out2, _ = run(capsys, "gen", "path", "--n", "12")

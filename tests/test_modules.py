@@ -1,9 +1,12 @@
 """The package's structure: every module imports at module level only, the
-imports between its modules form no cycle, and every search takes one
-budget type."""
+command line starts without loading ``dataclasses``, the imports between
+its modules form no cycle, and every search takes one budget type."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -40,6 +43,20 @@ def test_imports_are_at_module_level():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert id(node) in top, f"{name}.py line {node.lineno} imports below module level"
+
+
+def test_cli_startup_loads_no_dataclasses():
+    """Every command starts by importing ``thuelex.cli``, so the package's
+    value types are plain classes: a fresh process that imports it has not
+    loaded ``dataclasses`` or the introspection modules it pulls in."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = f"import sys, thuelex.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_package_imports_are_acyclic():
