@@ -309,6 +309,11 @@ def _parse_sequence(arg: str) -> sequences.SymbolSeq:
 
 
 def _cmd_seq(args) -> int:
+    # each of these flags is read by one action only
+    if args.palindrome_free and args.action != "gen":
+        raise ValueError("--palindrome-free applies to seq gen only")
+    if args.max_period is not None and args.action != "check":
+        raise ValueError("--max-period applies to seq check only")
     # gen, enumerate and kozik search; check and gaps read no budget
     if args.action == "gen":
         seq = sequences.gen_nonrepetitive(
@@ -347,16 +352,8 @@ def _cmd_seq(args) -> int:
         _emit(payload, args.output)
         return EXIT_OK
     if args.action == "enumerate":
-        with_valley = 0
-
-        def visit(word: bytes):
-            nonlocal with_valley
-            seq = sequences.SymbolSeq(tuple(word), args.sigma)
-            if sequences.find_valley(sequences.gap_profile(seq)) is not None:
-                with_valley += 1
-
-        total = sequences.enumerate_bounded_nonrep(
-            args.sigma, args.len, args.maxrep, visit, budget=_budget()
+        total, with_valley = sequences.valley_census(
+            args.sigma, args.len, args.maxrep, budget=_budget()
         )
         payload = {
             "count": total,

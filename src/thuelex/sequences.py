@@ -15,9 +15,10 @@ One backtracking engine yields the square-free words of a given length in
 lexicographic order (symbol order 0 < 1 < 2 < ...), optionally with bounded
 period, palindrome-freeness or banned adjacent pairs.  The generators take its
 first word, the lexicographically least witness, and raise NoSuchSequenceError
-when there is none; the bounded sweep takes all of them, so every result is
-deterministic.  Words are byte strings, so an alphabet has 1 to 256 symbols.
-Search budgets default to 10^8 expansions.
+when there is none; the bounded sweep takes all of them, and the valley
+census one per renaming of the letters, so every result is deterministic.
+Words are byte strings, so an alphabet has 1 to 256 symbols.  Search budgets
+default to 10^8 expansions.
 
 Squares of a period l >= _BLOCK (16) are found through repeated segments:
 the maximal runs of positions i with buf[i] == buf[i-l].  A square of period
@@ -38,6 +39,7 @@ find_repetition.
 from __future__ import annotations
 
 from array import array
+from math import perm
 
 from .errors import Budget, FrozenValue, NoSuchSequenceError, ResourceLimitError
 
@@ -255,10 +257,17 @@ def _square_free_words(
     max_period: int | None = None,
     palindrome_free: bool = False,
     banned_adjacent: frozenset[tuple[int, int]] = frozenset(),
+    letters_in_order: bool = False,
     budget: Budget,
 ):
     """Yield every word with no square of period <= max_period (default: any
     period) under the extra constraints, in lexicographic order.
+
+    With ``letters_in_order`` only the words whose letters first appear in
+    the order 0, 1, 2, ... are yielded, in the same order: position p tries
+    the letters up to the number of distinct letters in buf[:p], kept per
+    position in ``used``.  Every prefix of such a word is one, so the
+    pruned branches hold no other.
 
     Each word is the live buffer: copy it before resuming the generator.
     Every candidate symbol is charged as one node to ``budget``, so a word
@@ -302,6 +311,7 @@ def _square_free_words(
     view = memoryview(buf)
     occ: list[list[int]] = [[] for _ in range(sigma)]
     start_from = [0] * length
+    used = [0] * length  # distinct letters in buf[:p], with letters_in_order
     short_l = min(max_l, block - 1)  # periods left to the occurrence lists
     # long periods: the tail index of _new_segments, the entry each
     # placement joined, and the pending segments as a stack of (period l,
@@ -330,7 +340,8 @@ def _square_free_words(
                 if view[pos - l + block : pos] == view[pos - 2 * l + block : pos - l]:
                     refused += (buf[pos - l],)
                 e = nxt[e]
-        for x in range(start_from[pos], sigma):
+        top = min(used[pos] + 1, sigma) if letters_in_order else sigma
+        for x in range(start_from[pos], top):
             charge()
             if pos >= 1 and buf[pos - 1] == x:
                 continue
@@ -376,6 +387,8 @@ def _square_free_words(
             pos += 1
             if pos < length:
                 start_from[pos] = 0
+                if letters_in_order:
+                    used[pos] = max(used[pos - 1], x + 1)
                 continue
             yield buf
         # a word was yielded or this position is exhausted: undo the previous
@@ -502,6 +515,18 @@ def classify_valley_pattern(seq: SymbolSeq, valley: int) -> ValleyPattern | None
     return ValleyPattern(g2, (start, end), (mapping[0], mapping[1], mapping[2]))
 
 
+def _charge_sweep(sigma: int, length: int, max_rep_len: int, budget: Budget | None):
+    """Validate a sweep's arguments and charge its projected size to the
+    budget, as enumerate_bounded_nonrep describes."""
+    _check_alphabet(sigma)
+    if not 0 <= length <= 24:
+        raise ValueError(f"enumeration length must be between 0 and 24, got {length}")
+    if max_rep_len < 2:
+        raise ValueError("invalid enumeration parameters")
+    projected = sigma * max(sigma - 1, 1) ** max(length - 1, 0)
+    (budget or Budget()).charge(projected)
+
+
 def enumerate_bounded_nonrep(
     sigma: int = 3,
     length: int = 22,
@@ -519,13 +544,7 @@ def enumerate_bounded_nonrep(
     oversized run is refused at once; the search itself is uncharged, as its
     node count can exceed that by up to sigma/(sigma-2).
     """
-    _check_alphabet(sigma)
-    if not 0 <= length <= 24:
-        raise ValueError(f"enumeration length must be between 0 and 24, got {length}")
-    if max_rep_len < 2:
-        raise ValueError("invalid enumeration parameters")
-    projected = sigma * max(sigma - 1, 1) ** max(length - 1, 0)
-    (budget or Budget()).charge(projected)
+    _charge_sweep(sigma, length, max_rep_len, budget)
     count = 0
     for word in _square_free_words(
         sigma, length, max_period=max_rep_len // 2, budget=Budget(float("inf"))
@@ -534,3 +553,40 @@ def enumerate_bounded_nonrep(
         if visitor is not None:
             visitor(bytes(word))
     return count
+
+
+def valley_census(
+    sigma: int, length: int, max_rep_len: int, *, budget: Budget | None = None
+) -> tuple[int, int]:
+    """How many length-``length`` words over ``sigma`` symbols have no
+    repetition of length <= max_rep_len, and how many of those have a
+    valley (find_valley of their gap profile is not None).
+
+    The counts are those of enumerate_bounded_nonrep with the valley test
+    on each word, but the test runs once per renaming of the letters:
+    1. A bijective renaming of the letters maps a word without squares of
+       period <= max_rep_len // 2 to such a word, and keeps its peaks, gaps
+       and valleys, which depend only on which letters are equal.
+    2. Each class of words under renaming has exactly one member whose
+       letters first appear in the order 0, 1, 2, ...: rename the i-th
+       distinct letter to i.
+    3. A class whose words use m letters has perm(sigma, m) members, one per
+       injective map from those m letters into the alphabet.
+    4. Every prefix of such a canonical word is canonical, so the word
+       engine, pruned to canonical prefixes, still reaches every class.
+    So each canonical word adds perm(sigma, m) to both counts where it has
+    a valley, and to the first only where it has none; m = max(word) + 1,
+    or 0 for the empty word.  Validation and the budget charge are those of
+    enumerate_bounded_nonrep.
+    """
+    _charge_sweep(sigma, length, max_rep_len, budget)
+    count = with_valley = 0
+    for word in _square_free_words(
+        sigma, length, max_period=max_rep_len // 2, letters_in_order=True,
+        budget=Budget(float("inf")),
+    ):
+        weight = perm(sigma, max(word, default=-1) + 1)
+        count += weight
+        if find_valley(gap_profile(SymbolSeq(tuple(word), sigma))) is not None:
+            with_valley += weight
+    return count, with_valley

@@ -620,6 +620,20 @@ class TestSeq:
         assert code == 2
         assert out == "" and "max period must be at least 1" in err
 
+    @pytest.mark.parametrize("action", ["check", "gaps", "enumerate", "kozik"])
+    def test_palindrome_free_outside_gen_exit_2(self, capsys, action):
+        argv = ["seq", action, *(["ABAB"] if action in ("check", "gaps") else [])]
+        code, out, err = run(capsys, *argv, "--len", "5", "--palindrome-free")
+        assert code == 2
+        assert out == "" and "--palindrome-free applies to seq gen only" in err
+
+    @pytest.mark.parametrize("action", ["gen", "gaps", "enumerate", "kozik"])
+    def test_max_period_outside_check_exit_2(self, capsys, action):
+        argv = ["seq", action, *(["ABAB"] if action == "gaps" else [])]
+        code, out, err = run(capsys, *argv, "--len", "5", "--max-period", "3")
+        assert code == 2
+        assert out == "" and "--max-period applies to seq check only" in err
+
     def test_gaps_pattern(self, capsys):
         code, out, _ = run(capsys, "seq", "gaps", "CBABCBA")
         assert code == 0

@@ -22,6 +22,7 @@ from thuelex import (
     gen_nonrepetitive,
     is_palindrome_free,
     search_constrained,
+    valley_census,
 )
 
 
@@ -399,6 +400,125 @@ class TestEnumerate:
                 assert block == block[::-1]
 
         enumerate_bounded_nonrep(3, 12, 6, visit)
+
+
+def first_in_order(word):
+    """True iff the letters of ``word`` first appear in the order 0, 1, 2, ..."""
+    seen = 0
+    for x in word:
+        if x > seen:
+            return False
+        seen += x == seen
+    return True
+
+
+def census_per_word(sigma, length, max_rep_len):
+    """valley_census's counts from every word of the sweep, one valley test
+    per word."""
+    with_valley = 0
+
+    def visit(word):
+        nonlocal with_valley
+        if find_valley(gap_profile(SymbolSeq(tuple(word), sigma))) is not None:
+            with_valley += 1
+
+    return enumerate_bounded_nonrep(sigma, length, max_rep_len, visit), with_valley
+
+
+class TestValleyCensus:
+    K = sequences._BLOCK
+
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 4])
+    def test_matches_every_word(self, sigma):
+        for length in range(11):
+            for maxrep in (2, 4, 6):
+                assert valley_census(sigma, length, maxrep) == census_per_word(
+                    sigma, length, maxrep
+                ), (length, maxrep)
+
+    @pytest.mark.parametrize("length, maxrep", [(20, 32), (22, 32), (24, 40)])
+    def test_matches_every_word_with_the_block_index_on(self, length, maxrep):
+        # the index is kept, though no square of period 16 fits in 24
+        # letters; the short block below makes it refuse squares
+        assert maxrep // 2 >= self.K
+        assert valley_census(3, length, maxrep) == census_per_word(3, length, maxrep)
+
+    @pytest.mark.parametrize("maxrep", [6, 8, 24])
+    def test_matches_every_word_around_a_short_block(self, monkeypatch, maxrep):
+        # a block of 3 lets the tail index refuse squares of words this short
+        monkeypatch.setattr(sequences, "_BLOCK", 3)
+        for sigma in (3, 4):
+            assert valley_census(sigma, 10, maxrep) == census_per_word(sigma, 10, maxrep)
+
+    @staticmethod
+    def letter_order_matches(sigma, length, palindrome_free, banned, max_period):
+        """The engine with letters_in_order yields the words of the full
+        engine whose letters first appear in order, in the same order."""
+        full = engine_words(sigma, length, max_period, palindrome_free, banned)[0]
+        restricted = [
+            tuple(w)
+            for w in sequences._square_free_words(
+                sigma, length, max_period=max_period, palindrome_free=palindrome_free,
+                banned_adjacent=banned, letters_in_order=True, budget=Budget(float("inf")),
+            )
+        ]
+        return restricted == [w for w in full if first_in_order(w)]
+
+    @pytest.mark.parametrize("sigma, palindrome_free, banned", CONSTRAINTS)
+    def test_engine_in_letter_order_around_two_short_blocks(
+        self, monkeypatch, sigma, palindrome_free, banned
+    ):
+        # the restriction filters the walk whatever the constraints, so
+        # banned pairs, which break the renaming symmetry, are checked too
+        block = 3
+        monkeypatch.setattr(sequences, "_BLOCK", block)
+        for max_period in (block - 1, block, block + 1, None):
+            assert self.letter_order_matches(
+                sigma, 2 * block + 2, palindrome_free, banned, max_period
+            ), max_period
+
+    @pytest.mark.parametrize("max_period", [K - 1, K, None])
+    def test_engine_in_letter_order_around_two_blocks(self, max_period):
+        # the 34-letter words of TestEngineDifferential, squares of period 16
+        # refused through the index
+        assert self.letter_order_matches(4, 2 * self.K + 2, True, CD, max_period)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 3, 6), (300, 3, 6), (3, -2, 6), (3, 25, 6), (3, 5, 1)],
+        ids=["sigma-0", "sigma-300", "length-negative", "length-25", "maxrep-1"],
+    )
+    def test_validation_matches_the_sweep(self, args):
+        with pytest.raises(ValueError) as want:
+            enumerate_bounded_nonrep(*args)
+        with pytest.raises(ValueError) as got:
+            valley_census(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_budget_matches_the_sweep(self):
+        with pytest.raises(ResourceLimitError) as want:
+            enumerate_bounded_nonrep(3, 20, 6, budget=Budget(10))
+        with pytest.raises(ResourceLimitError) as got:
+            valley_census(3, 20, 6, budget=Budget(10))
+        assert str(got.value) == str(want.value)
+        swept, census = Budget(), Budget()
+        enumerate_bounded_nonrep(3, 12, 6, budget=swept)
+        valley_census(3, 12, 6, budget=census)
+        assert census.spent == swept.spent == 3 * 2**11
+
+
+class TestWordLemma:
+    """Every ternary word of 22 letters without repetitions of length <= 6
+    has a valley, and 22 is the least such length.  A valley of a prefix
+    stays one in the whole word (only its last gap can grow), so every
+    longer length follows."""
+
+    def test_22_is_the_least_length(self):
+        assert valley_census(3, 22, 6) == (18906, 18906)
+        assert valley_census(3, 21, 6) == census_per_word(3, 21, 6) == (12900, 12894)
+        for length in range(21):
+            count, with_valley = valley_census(3, length, 6)
+            assert with_valley < count, length
 
 
 class TestNodeBudget:
