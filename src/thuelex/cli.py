@@ -95,12 +95,6 @@ def _parse_graph_spec(spec: str | None) -> graphs.Graph | graphs.ProductGraph:
     return graphs.from_json_dict(_read_json(spec))
 
 
-def _required_n(n: int | None, what: str) -> int:
-    if n is None:
-        raise ValueError(f"{what} needs --n")
-    return n
-
-
 def _view(g: graphs.Graph | graphs.ProductGraph) -> graphs.Graph:
     return g.view if isinstance(g, graphs.ProductGraph) else g
 
@@ -162,7 +156,7 @@ def _cmd_gen(args) -> int:
         g, doc = pg.view, graphs.product_to_json_dict(pg)
         _note(f"product: {g.n} vertices, {g.m} edges")
     else:  # path, cycle: the graph of the inline spec kind:n
-        g = _parse_graph_spec(f"{args.kind}:{_required_n(args.n, args.kind)}")
+        g = _parse_graph_spec(f"{args.kind}:{args.n}")
     if args.dot:  # first, so an unwritable DOT target leaves no other output
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graphs.to_dot(g))
@@ -194,7 +188,7 @@ def _cmd_color(args) -> int:
             "path-rainbow": (colorings.color_path_rainbow, graphs.EMPTY),
             "path-complete": (colorings.color_path_complete, graphs.COMPLETE),
         }[args.construction]
-        col = construct(_required_n(args.n, args.construction), args.k)
+        col = construct(args.n, args.k)
         base = graphs.build_path(args.n)
     pg = graphs.lex_product(base, inner, args.k)
     _emit(coloring_to_json_dict(col), args.output)
@@ -269,6 +263,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     started = time.monotonic()
+    if args.mode != "tuple" and (args.p is not None or args.q is not None):
+        raise ValueError(f"{'--p' if args.p is not None else '--q'} needs --mode tuple")
     if args.mode == "thue":
         search = partial(solver.thue_number, _view(_parse_graph_spec(args.graph)))
     elif args.mode == "rainbow":
@@ -301,156 +297,157 @@ def _cmd_solve(args) -> int:
 
 def _parse_sequence(arg: str) -> sequences.SymbolSeq:
     """Letters (ABAC...) or a JSON file in the {"sigma", "symbols"} form."""
-    if arg is None:
-        raise ValueError("seq check and seq gaps need a sequence")
     if os.path.exists(arg):
         return sequences.seq_from_json_dict(_read_json(arg))
     return sequences.SymbolSeq.from_str(arg)
 
 
-def _cmd_seq(args) -> int:
-    # each of these flags is read by one action only
-    if args.palindrome_free and args.action != "gen":
-        raise ValueError("--palindrome-free applies to seq gen only")
-    if args.max_period is not None and args.action != "check":
-        raise ValueError("--max-period applies to seq check only")
-    # gen, enumerate and kozik search; check and gaps read no budget
-    if args.action == "gen":
-        seq = sequences.gen_nonrepetitive(
-            args.sigma, args.len, args.palindrome_free, budget=_budget()
-        )
-        if args.json:
-            _emit(sequences.seq_to_json_dict(seq), args.output)
-        else:
-            _write(seq.to_str() + "\n", args.output)
-        return EXIT_OK
-    if args.action == "check":
-        seq = _parse_sequence(args.sequence)
-        rep = sequences.find_repetition(seq, args.max_period)
-        payload = {
-            "length": len(seq),
-            "repetition": list(rep) if rep else None,
-            "palindrome_free": sequences.is_palindrome_free(seq),
-        }
-        _emit(payload, args.output)
-        return EXIT_OK
-    if args.action == "gaps":
-        seq = _parse_sequence(args.sequence)
-        profile = sequences.gap_profile(seq)
-        valley = sequences.find_valley(profile)
-        pat = None if valley is None else sequences.classify_valley_pattern(seq, valley)
-        payload = {
-            "peaks": list(profile.peaks),
-            "gaps": list(profile.gaps),
-            "valley": valley,
-            "pattern": None if pat is None else {
-                "id": pat.pattern,
-                "window": list(pat.window),
-                "letter_map": list(pat.letter_map),
-            },
-        }
-        _emit(payload, args.output)
-        return EXIT_OK
-    if args.action == "enumerate":
-        total, with_valley = sequences.valley_census(
-            args.sigma, args.len, args.maxrep, budget=_budget()
-        )
-        payload = {
-            "count": total,
-            "with_valley": with_valley,
-            "all_have_valley": with_valley == total,
-        }
-        _emit(payload, args.output)
-        return EXIT_OK
-    # kozik
+def _cmd_seq_gen(args) -> int:
+    seq = sequences.gen_nonrepetitive(args.sigma, args.len, args.palindrome_free, budget=_budget())
+    if args.json:
+        _emit(sequences.seq_to_json_dict(seq), args.output)
+    else:
+        _write(seq.to_str() + "\n", args.output)
+    return EXIT_OK
+
+
+def _cmd_seq_check(args) -> int:
+    seq = _parse_sequence(args.sequence)
+    rep = sequences.find_repetition(seq, args.max_period)
+    _emit({"length": len(seq), "repetition": list(rep) if rep else None,
+           "palindrome_free": sequences.is_palindrome_free(seq)}, args.output)
+    return EXIT_OK
+
+
+def _cmd_seq_gaps(args) -> int:
+    seq = _parse_sequence(args.sequence)
+    profile = sequences.gap_profile(seq)
+    valley = sequences.find_valley(profile)
+    pat = None if valley is None else sequences.classify_valley_pattern(seq, valley)
+    _emit({
+        "peaks": list(profile.peaks),
+        "gaps": list(profile.gaps),
+        "valley": valley,
+        "pattern": None if pat is None else {
+            "id": pat.pattern,
+            "window": list(pat.window),
+            "letter_map": list(pat.letter_map),
+        },
+    }, args.output)
+    return EXIT_OK
+
+
+def _cmd_seq_enumerate(args) -> int:
+    total, valleys = sequences.valley_census(args.sigma, args.len, args.maxrep, budget=_budget())
+    _emit({"count": total, "with_valley": valleys, "all_have_valley": valleys == total},
+          args.output)
+    return EXIT_OK
+
+
+def _cmd_seq_kozik(args) -> int:
     seq = sequences.search_constrained(args.len, budget=_budget())
     certified = (
         sequences.find_repetition(seq) is None
         and sequences.is_palindrome_free(seq)
-        and all((a, b) not in {(2, 3), (3, 2)} for a, b in zip(seq.symbols, seq.symbols[1:]))
+        and not sequences.CD_PAIRS.intersection(zip(seq.symbols, seq.symbols[1:]))
     )
     _emit({"sequence": seq.to_str(), "certified": certified}, args.output)
     return EXIT_OK
 
 
+# -- parser -------------------------------------------------------------------
+
+def _flags(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
+    """A parent parser declaring ``flags``, for the actions that share them."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name, spec in flags:
+        group.add_argument(name, **spec)
+    return group
+
+
+def _leaf(actions, name: str, handler, *parents, **kwargs) -> argparse.ArgumentParser:
+    """The parser of one action, with the flags of ``parents``."""
+    leaf = actions.add_parser(name, parents=parents, **kwargs)
+    leaf.set_defaults(handler=handler)
+    return leaf
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each action's parser declares exactly the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="thuelex",
         description="Nonrepetitive colorings of graphs and lexicographic products",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags that more than one subcommand takes
-    tree_shape = argparse.ArgumentParser(add_help=False)
-    tree_shape.add_argument("--root-children", type=int, default=3)
-    tree_shape.add_argument("--internal-children", type=int, default=2)
-    tree_shape.add_argument("--leaf-depth", type=int, default=5)
-    limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-nodes", type=int)
-    limits.add_argument("--time-budget", type=float)
-
-    p_gen = sub.add_parser("gen", parents=[tree_shape], help="build a graph and write its JSON")
-    p_gen.add_argument("kind", choices=["path", "cycle", "tree", "g0", "product"])
-    p_gen.add_argument("--n", type=int, help="vertex count for path/cycle")
-    p_gen.add_argument("--base", help="base graph spec for products (e.g. path:24)")
-    p_gen.add_argument("--inner", choices=[graphs.EMPTY, graphs.COMPLETE], default=graphs.EMPTY)
-    p_gen.add_argument("--k", type=int, default=2)
-    p_gen.add_argument("--output", help="write JSON here instead of stdout")
-    p_gen.add_argument("--dot", help="additionally write DOT here")
-
-    p_color = sub.add_parser("color", parents=[tree_shape], help="run a coloring construction")
-    p_color.add_argument(
-        "construction",
-        choices=["path-empty", "path-rainbow", "path-complete", "tree-complete", "c7-fractional"],
+    # flags that more than one action reads
+    output = _flags(("--output", {"help": "write here instead of stdout"}))
+    n = _flags(("--n", {"type": int, "required": True, "help": "vertices of the path or cycle"}))
+    k = _flags(("--k", {"type": int, "default": 2, "help": "inner graph size"}))
+    tree_shape = _flags(
+        ("--root-children", {"type": int, "default": 3}),
+        ("--internal-children", {"type": int, "default": 2}),
+        ("--leaf-depth", {"type": int, "default": 5}),
     )
-    p_color.add_argument("--n", type=int, help="path length")
-    p_color.add_argument("--k", type=int, default=2, help="inner graph size")
-    p_color.add_argument("--path-bound", type=int, default=12)
-    p_color.add_argument("--output")
+    limits = _flags(("--max-nodes", {"type": int}), ("--time-budget", {"type": float}))
+    dot = _flags(("--dot", {"help": "additionally write DOT here"}))
+    word = _flags(("--sigma", {"type": int, "default": 3}), ("--len", {"type": int, "default": 22}))
+    sequence = _flags(("sequence", {"help": "letters (ABAC...) or a JSON word file"}))
 
-    p_verify = sub.add_parser("verify", parents=[limits], help="check a coloring against a graph")
-    p_verify.add_argument("graph", help="graph spec or JSON file")
-    p_verify.add_argument("coloring", help="coloring JSON file")
-    p_verify.add_argument("--bound", type=int, help="max path vertices (even)")
-    p_verify.add_argument("--exact", action="store_true", help="check all even paths")
-    p_verify.add_argument("--rainbow", action="store_true", help="also require rainbow layers")
-    p_verify.add_argument("--walks", type=int, help="also check walks up to this length")
-    p_verify.add_argument("--output")
+    p_gen = sub.add_parser("gen", help="build a graph and write its JSON")
+    kinds = p_gen.add_subparsers(dest="kind", required=True)
+    _leaf(kinds, "path", _cmd_gen, n, output, dot)
+    _leaf(kinds, "cycle", _cmd_gen, n, output, dot)
+    _leaf(kinds, "tree", _cmd_gen, tree_shape, output, dot)
+    _leaf(kinds, "g0", _cmd_gen, output, dot)
+    product = _leaf(kinds, "product", _cmd_gen, k, output, dot)
+    product.add_argument("--base", required=True, help="base graph spec (e.g. path:24)")
+    product.add_argument("--inner", choices=[graphs.EMPTY, graphs.COMPLETE], default=graphs.EMPTY)
 
-    p_solve = sub.add_parser("solve", parents=[limits], help="exact solve (thue / rainbow / tuple)")
-    p_solve.add_argument(
+    p_color = sub.add_parser("color", help="run a coloring construction")
+    constructions = p_color.add_subparsers(dest="construction", required=True)
+    for name in ("path-empty", "path-rainbow", "path-complete"):
+        _leaf(constructions, name, _cmd_color, n, k, output)
+    tree = _leaf(constructions, "tree-complete", _cmd_color, tree_shape, k, output)
+    tree.add_argument("--path-bound", type=int, default=12)
+    _leaf(constructions, "c7-fractional", _cmd_color, output)
+
+    verify = _leaf(sub, "verify", _cmd_verify, limits, output,
+                   help="check a coloring against a graph")
+    verify.add_argument("graph", help="graph spec or JSON file")
+    verify.add_argument("coloring", help="coloring JSON file")
+    verify.add_argument("--bound", type=int, help="max path vertices (even)")
+    verify.add_argument("--exact", action="store_true", help="check all even paths")
+    verify.add_argument("--rainbow", action="store_true", help="also require rainbow layers")
+    verify.add_argument("--walks", type=int, help="also check walks up to this length")
+
+    solve = _leaf(sub, "solve", _cmd_solve, limits, output,
+                  help="exact solve (thue / rainbow / tuple)")
+    solve.add_argument(
         "graph", nargs="?", help="graph spec or JSON file; a product file in rainbow mode"
     )
-    p_solve.add_argument("--mode", choices=["thue", "rainbow", "tuple"], default="thue")
-    p_solve.add_argument("--p", type=int)
-    p_solve.add_argument("--q", type=int)
-    p_solve.add_argument("--output")
+    solve.add_argument("--mode", choices=["thue", "rainbow", "tuple"], default="thue")
+    solve.add_argument("--p", type=int, help="colors per vertex (tuple mode)")
+    solve.add_argument("--q", type=int, help="palette size (tuple mode)")
 
     p_seq = sub.add_parser("seq", help="sequence generation and analysis")
-    p_seq.add_argument("action", choices=["gen", "check", "gaps", "enumerate", "kozik"])
-    p_seq.add_argument("sequence", nargs="?", help="letters for check/gaps")
-    p_seq.add_argument("--sigma", type=int, default=3)
-    p_seq.add_argument("--len", type=int, default=22)
-    p_seq.add_argument("--palindrome-free", action="store_true")
-    p_seq.add_argument("--max-period", type=int)
-    p_seq.add_argument("--maxrep", type=int, default=6)
-    p_seq.add_argument("--json", action="store_true", help="emit the JSON form")
-    p_seq.add_argument("--output")
+    actions = p_seq.add_subparsers(dest="action", required=True)
+    gen = _leaf(actions, "gen", _cmd_seq_gen, word, output)
+    gen.add_argument("--palindrome-free", action="store_true")
+    gen.add_argument("--json", action="store_true", help="emit the JSON form")
+    _leaf(actions, "check", _cmd_seq_check, sequence, output).add_argument("--max-period", type=int)
+    _leaf(actions, "gaps", _cmd_seq_gaps, sequence, output)
+    census = _leaf(actions, "enumerate", _cmd_seq_enumerate, word, output)
+    census.add_argument("--maxrep", type=int, default=6)
+    _leaf(actions, "kozik", _cmd_seq_kozik, output).add_argument("--len", type=int, default=22)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "gen": _cmd_gen,
-        "color": _cmd_color,
-        "verify": _cmd_verify,
-        "solve": _cmd_solve,
-        "seq": _cmd_seq,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except ResourceLimitError as exc:
         _note(f"resource limit: {exc}")
         return EXIT_RESOURCE

@@ -47,6 +47,8 @@ _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # Least period found through repeated segments, whose tails have _BLOCK - 1
 # letters (see the module docstring)
 _BLOCK = 16
+# C next to D, in either order, which no search_constrained word has
+CD_PAIRS = frozenset({(2, 3), (3, 2)})
 
 
 def _check_alphabet(sigma: int):
@@ -446,7 +448,7 @@ def search_constrained(length: int, *, budget: Budget | None = None) -> SymbolSe
         "palindrome-free nonrepetitive CD-free",
         budget,
         palindrome_free=True,
-        banned_adjacent=frozenset({(2, 3), (3, 2)}),
+        banned_adjacent=CD_PAIRS,
     )
 
 

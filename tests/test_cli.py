@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -16,7 +17,10 @@ from thuelex.errors import ResourceLimitError
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refusals and -h
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -625,14 +629,14 @@ class TestSeq:
         argv = ["seq", action, *(["ABAB"] if action in ("check", "gaps") else [])]
         code, out, err = run(capsys, *argv, "--len", "5", "--palindrome-free")
         assert code == 2
-        assert out == "" and "--palindrome-free applies to seq gen only" in err
+        assert out == "" and "unrecognized arguments:" in err and "--palindrome-free" in err
 
     @pytest.mark.parametrize("action", ["gen", "gaps", "enumerate", "kozik"])
     def test_max_period_outside_check_exit_2(self, capsys, action):
         argv = ["seq", action, *(["ABAB"] if action == "gaps" else [])]
         code, out, err = run(capsys, *argv, "--len", "5", "--max-period", "3")
         assert code == 2
-        assert out == "" and "--max-period applies to seq check only" in err
+        assert out == "" and "unrecognized arguments:" in err and "--max-period" in err
 
     def test_gaps_pattern(self, capsys):
         code, out, _ = run(capsys, "seq", "gaps", "CBABCBA")
@@ -772,3 +776,79 @@ class TestSeq:
         monkeypatch.setenv("THUE_NODE_BUDGET", "zero")
         code, _, _ = run(capsys, "seq", "gen", "--sigma", "3", "--len", "5")
         assert code == 2
+
+
+# The flags each action's handler reads.  gen, color and seq pick an action
+# by a sub-subcommand; verify and solve are actions themselves.
+TREE_SHAPE = ("--root-children", "--internal-children", "--leaf-depth")
+READS = {
+    ("gen", "path"): ("--n", "--output", "--dot"),
+    ("gen", "cycle"): ("--n", "--output", "--dot"),
+    ("gen", "tree"): (*TREE_SHAPE, "--output", "--dot"),
+    ("gen", "g0"): ("--output", "--dot"),
+    ("gen", "product"): ("--base", "--inner", "--k", "--output", "--dot"),
+    ("color", "path-empty"): ("--n", "--k", "--output"),
+    ("color", "path-rainbow"): ("--n", "--k", "--output"),
+    ("color", "path-complete"): ("--n", "--k", "--output"),
+    ("color", "tree-complete"): (*TREE_SHAPE, "--k", "--path-bound", "--output"),
+    ("color", "c7-fractional"): ("--output",),
+    ("seq", "gen"): ("--sigma", "--len", "--palindrome-free", "--json", "--output"),
+    ("seq", "check"): ("--max-period", "--output"),
+    ("seq", "gaps"): ("--output",),
+    ("seq", "enumerate"): ("--sigma", "--len", "--maxrep", "--output"),
+    ("seq", "kozik"): ("--len", "--output"),
+    ("verify",): ("--bound", "--exact", "--rainbow", "--walks", "--max-nodes", "--time-budget",
+                  "--output"),
+    ("solve",): ("--mode", "--p", "--q", "--max-nodes", "--time-budget", "--output"),
+}
+# what an action needs besides its flags' defaults
+REQUIRED = {
+    ("gen", "path"): ("--n", "3"),
+    ("gen", "cycle"): ("--n", "3"),
+    ("gen", "product"): ("--base", "path:3"),
+    ("color", "path-empty"): ("--n", "3"),
+    ("color", "path-rainbow"): ("--n", "3"),
+    ("color", "path-complete"): ("--n", "3"),
+    ("seq", "check"): ("ABAB",),
+    ("seq", "gaps"): ("ABAB",),
+}
+# a valid value of each flag that takes one
+VALUES = {
+    "--n": "3", "--base": "path:3", "--inner": "empty", "--k": "2", "--root-children": "3",
+    "--internal-children": "2", "--leaf-depth": "3", "--path-bound": "0", "--sigma": "3",
+    "--len": "5", "--max-period": "3", "--maxrep": "6",
+}
+
+
+def _foreign_flags():
+    """Each gen, color and seq action with each flag that another action of
+    its command reads, and each seq action that reads no sequence with one."""
+    for action in (a for a in READS if len(a) == 2):
+        own = set(READS[action])
+        others = {f for a in READS if a[0] == action[0] for f in READS[a]} - own
+        for flag in sorted(others):
+            value = (VALUES[flag],) if flag in VALUES else ()
+            yield (*action, *REQUIRED.get(action, ()), flag, *value), flag
+    for action in ("gen", "enumerate", "kozik"):
+        yield ("seq", action, "ABAB"), "ABAB"
+    yield ("solve", "--p", "2", "path:3"), "--p"
+    yield ("solve", "--mode", "thue", "--q", "3", "path:3"), "--q"
+    yield ("solve", "--mode", "rainbow", "--p", "2", "path:3"), "--p"
+
+
+FOREIGN = list(_foreign_flags())
+
+
+@pytest.mark.parametrize("argv, flag", FOREIGN, ids=[" ".join(a) for a, _ in FOREIGN])
+def test_flag_of_another_action_exit_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and flag in err
+
+
+@pytest.mark.parametrize("action", list(READS), ids=" ".join)
+def test_help_lists_the_flags_the_action_reads(capsys, action):
+    code, out, _ = run(capsys, *action, "-h")
+    assert code == 0
+    usage = out.split("\n\n", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage)) == {"-h", *READS[action]}
