@@ -11,6 +11,7 @@ times and other run commentary go to stderr.  Colors are 0-based in JSON
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -73,11 +74,9 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
-def _parse_graph_spec(spec: str | None) -> graphs.Graph | graphs.ProductGraph:
+def _parse_graph_spec(spec: str) -> graphs.Graph | graphs.ProductGraph:
     """Inline graph spec (path:N, cycle:N, complete:N, empty:N, tree:a,b,c,
     g0) or a JSON file holding a graph or a product."""
-    if spec is None:
-        raise ValueError("missing graph spec")
     kind, _, arg = spec.partition(":")
     builders = {
         "path": graphs.build_path,
@@ -357,95 +356,133 @@ def _cmd_seq_kozik(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def _flags(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
-    """A parent parser declaring ``flags``, for the actions that share them."""
-    group = argparse.ArgumentParser(add_help=False)
-    for name, spec in flags:
-        group.add_argument(name, **spec)
-    return group
+# flags that more than one action reads
+_OUTPUT = ("--output", {"help": "write here instead of stdout"})
+_N = ("--n", {"type": int, "required": True, "help": "vertices of the path or cycle"})
+_K = ("--k", {"type": int, "default": 2, "help": "inner graph size"})
+_TREE_SHAPE = (
+    ("--root-children", {"type": int, "default": 3}),
+    ("--internal-children", {"type": int, "default": 2}),
+    ("--leaf-depth", {"type": int, "default": 5}),
+)
+_LIMITS = (("--max-nodes", {"type": int}), ("--time-budget", {"type": float}))
+_DOT = ("--dot", {"help": "additionally write DOT here"})
+_WORD = (("--sigma", {"type": int, "default": 3}), ("--len", {"type": int, "default": 22}))
+_SEQUENCE = ("sequence", {"help": "letters (ABAC...) or a JSON word file"})
+
+# Each command's help, and the destination of the action that gen, color and
+# seq pick; verify and solve are actions themselves.
+_COMMANDS = {
+    "gen": ("build a graph and write its JSON", "kind"),
+    "color": ("run a coloring construction", "construction"),
+    "verify": ("check a coloring against a graph", None),
+    "solve": ("exact solve (thue / rainbow / tuple)", None),
+    "seq": ("sequence generation and analysis", "action"),
+}
+# Each action's handler and the flags it reads, by command, in the order -h
+# lists them.  A tuple of flags among them is a group of which at most one
+# may be given.
+_ACTIONS = {
+    ("gen", "path"): (_cmd_gen, (_N, _OUTPUT, _DOT)),
+    ("gen", "cycle"): (_cmd_gen, (_N, _OUTPUT, _DOT)),
+    ("gen", "tree"): (_cmd_gen, (*_TREE_SHAPE, _OUTPUT, _DOT)),
+    ("gen", "g0"): (_cmd_gen, (_OUTPUT, _DOT)),
+    ("gen", "product"): (_cmd_gen, (
+        _K, _OUTPUT, _DOT,
+        ("--base", {"required": True, "help": "base graph spec (e.g. path:24)"}),
+        ("--inner", {"choices": [graphs.EMPTY, graphs.COMPLETE], "default": graphs.EMPTY}),
+    )),
+    ("color", "path-empty"): (_cmd_color, (_N, _K, _OUTPUT)),
+    ("color", "path-rainbow"): (_cmd_color, (_N, _K, _OUTPUT)),
+    ("color", "path-complete"): (_cmd_color, (_N, _K, _OUTPUT)),
+    ("color", "tree-complete"): (_cmd_color, (
+        *_TREE_SHAPE, _K, _OUTPUT, ("--path-bound", {"type": int, "default": 12}),
+    )),
+    ("color", "c7-fractional"): (_cmd_color, (_OUTPUT,)),
+    ("verify",): (_cmd_verify, (
+        *_LIMITS, _OUTPUT,
+        ("graph", {"help": "graph spec or JSON file"}),
+        ("coloring", {"help": "coloring JSON file"}),
+        (
+            ("--bound", {"type": int, "help": "max path vertices (even)"}),
+            ("--exact", {"action": "store_true", "help": "check all even paths"}),
+        ),
+        ("--rainbow", {"action": "store_true", "help": "also require rainbow layers"}),
+        ("--walks", {"type": int, "help": "also check walks up to this length"}),
+    )),
+    ("solve",): (_cmd_solve, (
+        *_LIMITS, _OUTPUT,
+        ("graph", {"help": "graph spec or JSON file; a product file in rainbow mode"}),
+        ("--mode", {"choices": ["thue", "rainbow", "tuple"], "default": "thue"}),
+        ("--p", {"type": int, "help": "colors per vertex (tuple mode)"}),
+        ("--q", {"type": int, "help": "palette size (tuple mode)"}),
+    )),
+    ("seq", "gen"): (_cmd_seq_gen, (
+        *_WORD, _OUTPUT,
+        ("--palindrome-free", {"action": "store_true"}),
+        ("--json", {"action": "store_true", "help": "emit the JSON form"}),
+    )),
+    ("seq", "check"): (_cmd_seq_check, (_SEQUENCE, _OUTPUT, ("--max-period", {"type": int}))),
+    ("seq", "gaps"): (_cmd_seq_gaps, (_SEQUENCE, _OUTPUT)),
+    ("seq", "enumerate"): (_cmd_seq_enumerate, (
+        *_WORD, _OUTPUT, ("--maxrep", {"type": int, "default": 6}),
+    )),
+    ("seq", "kozik"): (_cmd_seq_kozik, (_OUTPUT, ("--len", {"type": int, "default": 22}))),
+}
 
 
-def _leaf(actions, name: str, handler, *parents, **kwargs) -> argparse.ArgumentParser:
-    """The parser of one action, with the flags of ``parents``."""
-    leaf = actions.add_parser(name, parents=parents, **kwargs)
-    leaf.set_defaults(handler=handler)
-    return leaf
+def _add_flags(parser, flags):
+    for flag in flags:
+        if isinstance(flag[0], str):
+            parser.add_argument(flag[0], **flag[1])
+        else:
+            _add_flags(parser.add_mutually_exclusive_group(), flag)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each action's parser declares exactly the flags its handler reads."""
+def _choices(parser, dest: str, names, partial: bool):
+    """The subparsers by which ``parser`` picks ``dest``.  A partial build
+    still names every choice in the usage line, which its errors print."""
+    metavar = "{%s}" % ",".join(names) if partial else None
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """Each action's parser declares exactly the flags its handler reads.
+
+    When ``argv`` names a command, and for gen, color and seq one of its
+    actions, only the parsers on the way to that action are built: the same
+    parse and errors from two or three parsers instead of 21.  Otherwise
+    every parser is built, so the help and errors of the top level and of a
+    command list every choice."""
+    named = next((path for path in (tuple(argv[:1]), tuple(argv[:2])) if path in _ACTIONS), None)
+    partial = named is not None
     parser = argparse.ArgumentParser(
         prog="thuelex",
         description="Nonrepetitive colorings of graphs and lexicographic products",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # flags that more than one action reads
-    output = _flags(("--output", {"help": "write here instead of stdout"}))
-    n = _flags(("--n", {"type": int, "required": True, "help": "vertices of the path or cycle"}))
-    k = _flags(("--k", {"type": int, "default": 2, "help": "inner graph size"}))
-    tree_shape = _flags(
-        ("--root-children", {"type": int, "default": 3}),
-        ("--internal-children", {"type": int, "default": 2}),
-        ("--leaf-depth", {"type": int, "default": 5}),
-    )
-    limits = _flags(("--max-nodes", {"type": int}), ("--time-budget", {"type": float}))
-    dot = _flags(("--dot", {"help": "additionally write DOT here"}))
-    word = _flags(("--sigma", {"type": int, "default": 3}), ("--len", {"type": int, "default": 22}))
-    sequence = _flags(("sequence", {"help": "letters (ABAC...) or a JSON word file"}))
-
-    p_gen = sub.add_parser("gen", help="build a graph and write its JSON")
-    kinds = p_gen.add_subparsers(dest="kind", required=True)
-    _leaf(kinds, "path", _cmd_gen, n, output, dot)
-    _leaf(kinds, "cycle", _cmd_gen, n, output, dot)
-    _leaf(kinds, "tree", _cmd_gen, tree_shape, output, dot)
-    _leaf(kinds, "g0", _cmd_gen, output, dot)
-    product = _leaf(kinds, "product", _cmd_gen, k, output, dot)
-    product.add_argument("--base", required=True, help="base graph spec (e.g. path:24)")
-    product.add_argument("--inner", choices=[graphs.EMPTY, graphs.COMPLETE], default=graphs.EMPTY)
-
-    p_color = sub.add_parser("color", help="run a coloring construction")
-    constructions = p_color.add_subparsers(dest="construction", required=True)
-    for name in ("path-empty", "path-rainbow", "path-complete"):
-        _leaf(constructions, name, _cmd_color, n, k, output)
-    tree = _leaf(constructions, "tree-complete", _cmd_color, tree_shape, k, output)
-    tree.add_argument("--path-bound", type=int, default=12)
-    _leaf(constructions, "c7-fractional", _cmd_color, output)
-
-    verify = _leaf(sub, "verify", _cmd_verify, limits, output,
-                   help="check a coloring against a graph")
-    verify.add_argument("graph", help="graph spec or JSON file")
-    verify.add_argument("coloring", help="coloring JSON file")
-    verify.add_argument("--bound", type=int, help="max path vertices (even)")
-    verify.add_argument("--exact", action="store_true", help="check all even paths")
-    verify.add_argument("--rainbow", action="store_true", help="also require rainbow layers")
-    verify.add_argument("--walks", type=int, help="also check walks up to this length")
-
-    solve = _leaf(sub, "solve", _cmd_solve, limits, output,
-                  help="exact solve (thue / rainbow / tuple)")
-    solve.add_argument(
-        "graph", nargs="?", help="graph spec or JSON file; a product file in rainbow mode"
-    )
-    solve.add_argument("--mode", choices=["thue", "rainbow", "tuple"], default="thue")
-    solve.add_argument("--p", type=int, help="colors per vertex (tuple mode)")
-    solve.add_argument("--q", type=int, help="palette size (tuple mode)")
-
-    p_seq = sub.add_parser("seq", help="sequence generation and analysis")
-    actions = p_seq.add_subparsers(dest="action", required=True)
-    gen = _leaf(actions, "gen", _cmd_seq_gen, word, output)
-    gen.add_argument("--palindrome-free", action="store_true")
-    gen.add_argument("--json", action="store_true", help="emit the JSON form")
-    _leaf(actions, "check", _cmd_seq_check, sequence, output).add_argument("--max-period", type=int)
-    _leaf(actions, "gaps", _cmd_seq_gaps, sequence, output)
-    census = _leaf(actions, "enumerate", _cmd_seq_enumerate, word, output)
-    census.add_argument("--maxrep", type=int, default=6)
-    _leaf(actions, "kozik", _cmd_seq_kozik, output).add_argument("--len", type=int, default=22)
-
+    commands = _choices(parser, "command", _COMMANDS, partial)
+    pickers = {}
+    for path in [named] if partial else _ACTIONS:
+        command = path[0]
+        text, dest = _COMMANDS[command]
+        if dest is None:
+            leaf = commands.add_parser(command, help=text)
+        else:
+            if command not in pickers:
+                names = [other[1] for other in _ACTIONS if other[0] == command]
+                picker = commands.add_parser(command, help=text)
+                pickers[command] = _choices(picker, dest, names, partial)
+            leaf = pickers[command].add_parser(path[1])
+        handler, flags = _ACTIONS[path]
+        leaf.set_defaults(handler=handler)
+        _add_flags(leaf, flags)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except ResourceLimitError as exc:
@@ -459,5 +496,15 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def run() -> int:
+    """The process entry of ``python -m thuelex.cli`` and the ``thuelex``
+    script: ``main`` with the import-time heap frozen.  The package,
+    argparse and json live until the process exits, so no collection, the
+    one at exit included, needs to walk them.  ``main`` freezes nothing, so
+    a caller that runs it in process keeps its own heap as it was."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import time
@@ -11,8 +12,8 @@ from thuelex import (
     gen_nonrepetitive,
     lex_product,
 )
-from thuelex import sequences, solver
-from thuelex.cli import main
+from thuelex import cli, sequences, solver
+from thuelex.cli import build_parser, main
 from thuelex.errors import ResourceLimitError
 
 
@@ -180,6 +181,15 @@ class TestVerify:
         d = json.loads(out)
         assert d["verified"] is False
         assert d["path"] == [0, 1, 2, 3] and d["half_colors"] == [0, 1]
+
+    def test_exact_with_bound_exit_2(self, capsys, tmp_path):
+        # --exact checks every even path, so a --bound beside it is refused
+        # rather than ignored
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 3, "colors": [0, 1, 2, 0]}))
+        code, out, err = run(capsys, "verify", "path:4", str(col), "--exact", "--bound", "2")
+        assert code == 2
+        assert out == "" and "not allowed with argument" in err
 
     def test_c7_fractional_exact(self, capsys, tmp_path):
         col = tmp_path / "c.json"
@@ -574,9 +584,9 @@ class TestSolve:
         assert code == 2
 
     def test_missing_graph_exit_2(self, capsys):
-        code, _, err = run(capsys, "solve", "--mode", "thue")
+        code, out, err = run(capsys, "solve", "--mode", "thue")
         assert code == 2
-        assert "missing graph spec" in err
+        assert out == "" and "the following arguments are required: graph" in err
 
     def test_palette_cap_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:
@@ -852,3 +862,87 @@ def test_help_lists_the_flags_the_action_reads(capsys, action):
     assert code == 0
     usage = out.split("\n\n", 1)[0]
     assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage)) == {"-h", *READS[action]}
+
+
+# -- the parsers argv names ------------------------------------------------------
+# main builds only the parsers on the way to the action its argv names, and
+# every parser when it names none; build_parser() builds every parser.
+
+def _full(capsys, argv):
+    """The exit code, stdout and stderr of the every-command parser on
+    ``argv``, which it refuses or answers with help."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["seq", "gen", "--len", "5"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    assert cli.run() == 0
+    assert calls == ["freeze", "main"]
+
+
+# a value for each flag that takes one and is not in VALUES; every other flag
+# is a switch
+MORE_VALUES = {
+    "--output": "o.json", "--dot": "g.dot", "--max-nodes": "9", "--time-budget": "1.5",
+    "--bound": "4", "--walks": "4", "--mode": "tuple", "--p": "2", "--q": "5",
+}
+POSITIONALS = {("verify",): ("path:3", "c.json"), ("solve",): ("path:3",)}
+
+
+def _argvs(action):
+    """The action with only what it needs, and with every flag it reads
+    (--exact, which --bound excludes, on its own)."""
+    bare = [*action, *REQUIRED.get(action, ()), *POSITIONALS.get(action, ())]
+    every = list(bare)
+    for flag in READS[action]:
+        value = VALUES.get(flag, MORE_VALUES.get(flag))
+        if flag not in bare and flag != "--exact":
+            every += [flag] if value is None else [flag, value]
+    yield bare
+    yield every
+    if "--exact" in READS[action]:
+        yield [*bare, "--exact"]
+
+
+@pytest.mark.parametrize("action", list(READS), ids=" ".join)
+def test_argv_parser_parses_as_every_parser(action):
+    for argv in _argvs(action):
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+    # and it holds no other action
+    other = next(a for a in READS if a[0] != action[0])
+    with pytest.raises(SystemExit):
+        build_parser(argv).parse_args([*other, *REQUIRED.get(other, ())])
+
+
+HELP = [(), *dict.fromkeys(a[:1] for a in READS), *READS]
+
+
+@pytest.mark.parametrize("path", HELP, ids=lambda p: " ".join(p) or "top")
+def test_help_reads_as_every_parser(capsys, path):
+    code, out, err = run(capsys, *path, "-h")
+    assert code == 0 and out.startswith("usage: thuelex")
+    assert (code, out, err) == _full(capsys, [*path, "-h"])
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("bogus",), ("bogus", "path"), ("gen",), ("gen", "bogus"), ("color", "bogus"),
+    ("seq", "bogus", "ABAB"), ("-x", "gen", "path"),
+    # unrecognized arguments: the top level's usage, every command in it
+    ("gen", "path", "--n", "3", "extra"), ("verify", "path:3", "c.json", "extra"),
+    ("seq", "gaps", "ABAB", "--bogus"),
+], ids=" ".join)
+def test_refusal_reads_as_every_parser(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("usage: thuelex")
+    assert (code, out, err) == _full(capsys, argv)
