@@ -243,6 +243,7 @@ def _cmd_verify(args) -> int:
             human = " ".join(str(c + 1) for c in witness.half_colors)
             failure = f"repetitive path found, first-half colors (1-based): {human}"
     if failure is None and args.walks:
+        report["walk_bound_used"] = args.walks
         report["walk_nonrepetitive"] = verifier.is_walk_nonrepetitive(
             view, col.colors, args.walks, budget=budget
         )
@@ -254,6 +255,8 @@ def _cmd_verify(args) -> int:
         passed = "verified: nonrepetitive (exact)"
     else:
         passed = f"verified: no repetition up to 2l <= {bound} (bounded, not exact)"
+    if args.walks:
+        passed += f"; walks: no repetition up to {args.walks} vertices (bounded)"
     _note(failure or passed)
     return EXIT_WITNESS if failure else EXIT_OK
 

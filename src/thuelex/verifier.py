@@ -11,12 +11,12 @@ a room: how often one path may hold the node.  Half-length 1 is one scan of
 the edges; longer ones go in rounds lo+1..cap, cap = ceil(top / 2^k) for
 top = bound / 2, so a short repetition needs no deep search from the starts
 before it.  In a round, a DFS from each start in turn walks its first halves
-of up to cap nodes once (O(n cap) at max degree 2); at each of l > lo nodes
-it walks the second halves along only ``step[last][key of the node l
-back]``, which prunes almost everything.  A repetition of half-length l
-stops all first halves of l or more nodes, so the least l wins, then the
-least start, then the first extension.  Each first half that opens second
-halves charges the budget one node.
+of up to cap nodes once; at each of l > lo nodes it walks the second halves
+along only ``step[last][key of the node l back]``, which prunes almost
+everything.  A repetition of half-length l stops all first halves of l or
+more nodes, so the least l wins, then the least start, then the first
+extension.  Each first half that opens second halves charges the budget one
+node.
 
 The vertex search runs the kernel on the vertices, each with room 1;
 ``step[x][L]`` lists the neighbours of x (ascending) whose set meets the set
@@ -59,6 +59,26 @@ A graph with twins first runs the class search, which is exact.
    half-length, as its order is the least l, then the least start, then the
    first extension.
 A graph without twins runs the vertex search alone.
+
+A graph of maximum degree at most 2 runs neither search: after the edge scan
+the window scan finds the same witness.
+1. Windows are the paths.  Each component is an isolated vertex, a path
+   listed from an end, or a cycle listed round from a vertex and on for
+   m - 1 more vertices, where m counts the component's vertices.  Along a
+   simple path each vertex is adjacent to the one before, so its position in
+   the listing moves by one (round the cycle), and always the same way, as
+   turning back would repeat a vertex.  So a simple path of k vertices is a
+   window of k consecutive positions of a listing, read forwards or
+   backwards, and k <= m.  Conversely every such window is a simple path: k
+   <= m consecutive positions hold distinct vertices.
+2. Rows.  For each l, each component with 2l <= m gets one bytes row whose
+   entry i says whether the sets at positions i and i + l meet.  The window
+   of 2l positions from i is a repetition iff the row holds l ones from i.
+   Read backwards it pairs the same positions, so it is one then too.
+3. The witness.  At the least l with a hit, the least vertex sequence among
+   the hit windows read both ways is the least repetitive path by (length,
+   vertex sequence): the vertex search's witness.
+Each component with windows of 2l vertices charges the budget one node per l.
 
 A bound of at least ``exact_bound(g)`` (|V| rounded down to even) is exact;
 smaller bounds give sound but partial verification and the caller must say so.
@@ -240,6 +260,50 @@ def _class_search(g: Graph, classes, lab, meets):
     return adj, step, range(len(classes)), [len(members) for members in classes], fits
 
 
+def _window_scan(adj, lab, meets, bound: int, budget: Budget):
+    """The vertex search's first repetition of 1 < l <= bound / 2 vertices a
+    half, or None, on a graph of maximum degree at most 2: the least
+    repetitive window of a component, by l and then by vertex sequence, in
+    either orientation.  Each component with windows of 2l vertices charges
+    the budget one node per l."""
+    seen = [False] * len(adj)
+    comps = []  # (m, vertex listing, meets of each label, labels)
+    # the ends first, so that a component not reached from one is a cycle
+    for v in sorted(range(len(adj)), key=lambda v: len(adj[v]) == 2):
+        if seen[v]:
+            continue
+        seen[v] = True
+        seq = [v]
+        for u in seq:  # appends the one unseen neighbour of the last vertex
+            for x in adj[u]:
+                if not seen[x]:
+                    seen[x] = True
+                    seq.append(x)
+                    break
+        m = len(seq)
+        if len(adj[v]) == 2:  # a cycle: go on round it to every window
+            seq += seq[: m - 1]
+        w = [lab[x] for x in seq]
+        comps.append((m, seq, [meets[a] for a in w], w))
+    for l in range(2, bound // 2 + 1):
+        comps = [c for c in comps if 2 * l <= c[0]]
+        if not comps:
+            return None
+        ones, hits = b"\1" * l, []
+        for m, seq, ms, w in comps:
+            budget.charge()
+            # row[i]: whether positions i and i + l meet, for the m windows
+            # of a cycle or the m - 2l + 1 of a path
+            row = bytes(map(set.__contains__, ms, w[l : m + 2 * l - 1]))
+            if ones in row:
+                hits += [
+                    seq[i : i + 2 * l] for i in range(len(row) - l + 1) if row.startswith(ones, i)
+                ]
+        if hits:
+            return tuple(min(min(h, h[::-1]) for h in hits))
+    return None
+
+
 def _find_repetition(
     g: Graph, sets, max_vertices: int, budget: Budget | None = None, walks: bool = False
 ) -> RepetitionWitness | None:
@@ -273,15 +337,18 @@ def _find_repetition(
     for start in range(g.n):  # half-length 1: an edge whose ends' sets meet
         for u in step[start].get(lab[start], ()):
             return RepetitionWitness((start, u), (min(sets[start] & sets[u]),))
-    lo = 1
-    if not walks and len(classes := _twin_classes(g)) < g.n:
-        p = _search(*_class_search(g, classes, lab, meets), lo, bound, budget)
-        if p is None:
-            return None
-        bound = len(p)
-        lo = bound // 2 - 1
-    room = [bound if walks else 1] * g.n
-    p = _search(adj, step, lab, room, _not_boring, lo, bound, budget)
+    if not walks and max(map(len, adj), default=0) <= 2:
+        p = _window_scan(adj, lab, meets, bound, budget)
+    else:
+        lo = 1
+        if not walks and len(classes := _twin_classes(g)) < g.n:
+            p = _search(*_class_search(g, classes, lab, meets), lo, bound, budget)
+            if p is None:
+                return None
+            bound = len(p)
+            lo = bound // 2 - 1
+        room = [bound if walks else 1] * g.n
+        p = _search(adj, step, lab, room, _not_boring, lo, bound, budget)
     if p is None:
         return None
     l = len(p) // 2
@@ -294,7 +361,8 @@ def find_repetitive_path(
     """First (in l, then start-vertex, then lexicographic extension order)
     even simple path of at most max_vertices vertices whose colors form a
     repetition, or None.  Each first half that opens second halves charges
-    the budget one node."""
+    the budget one node; on a graph of maximum degree at most 2, each
+    component scanned at a half-length does."""
     return _find_repetition(g, [(c,) for c in colors], max_vertices, budget)
 
 

@@ -265,6 +265,18 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["walk_nonrepetitive"] is False
 
+    def test_walks_are_labelled_bounded(self, capsys, tmp_path):
+        """An exact path check says how far walks were checked."""
+        col = tmp_path / "c.json"
+        col.write_text(json.dumps({"palette": 3, "colors": [0, 1, 2]}))
+        code, out, err = run(capsys, "verify", "path:3", str(col), "--exact", "--walks", "4")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["exact"], report["walk_bound_used"], report["walk_nonrepetitive"]) == (
+            True, 4, True
+        )
+        assert "walks: no repetition up to 4 vertices (bounded)" in err
+
     @pytest.mark.parametrize(
         "coloring,walks",
         [

@@ -193,10 +193,10 @@ P6E2 = lex_product(build_path(6), EMPTY, 2)
 PINNED = [
     (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 344),
     (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 476),
-    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1389),
+    (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1297),
     (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 23),
-    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 82),
-    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 43),
+    (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 46),
+    (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 30),
     (lambda: exists_coloring(P6E2.view, 5, Budget(100)), "timeout", None, 101),
     (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 1814),
     (lambda: rainbow_exists_coloring(P6E2, 6, Budget(100)), "timeout", None, 101),
@@ -241,14 +241,14 @@ class TestBudget:
 
     def test_shared_budget(self):
         """Each call reports the nodes it charged; the third runs out."""
-        b = Budget(400)
+        b = Budget(160)
         got = [thue_number(build_path(10), b) for _ in range(3)]
         assert [(r.status, r.value, r.nodes_explored) for r in got] == [
-            ("exact", 3, 150),
-            ("exact", 3, 150),
-            ("lower_bound_only", 3, 101),
+            ("exact", 3, 64),
+            ("exact", 3, 64),
+            ("lower_bound_only", 3, 33),
         ]
-        assert b.spent == 401
+        assert b.spent == 161
 
     def test_refused_sweeps_charge_their_projection(self):
         b = Budget(10)

@@ -179,6 +179,46 @@ class TestWitnessOrder:
                 assert _as_found(got) == naive_least_repetitive_path(g, sets, bound)
 
 
+def _union(rng):
+    """A relabelled disjoint union of paths, cycles and isolated vertices."""
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("path", "cycle", "isolated"))
+        m = 1 if kind == "isolated" else rng.randint(3 if kind == "cycle" else 2, 12)
+        edges += [(n + i, n + i + 1) for i in range(m - 1)]
+        if kind == "cycle":
+            edges.append((n + m - 1, n))
+        n += m
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestWindowScan:
+    """A graph of maximum degree at most 2 runs the window scan; its witness
+    must be the oracle's at every even bound.  The oracle runs once per
+    colouring, at |V|: its answer at a smaller bound is the same path if
+    that path fits, else None."""
+
+    @pytest.mark.parametrize("mode", ["plain", "tuple"])
+    def test_unions_match_oracle(self, mode):
+        rng = random.Random(23 if mode == "plain" else 29)
+        for _ in range(150):
+            g = _union(rng)
+            if mode == "plain":
+                sets = _mostly_proper(rng, g, rng.randint(2, 4), 1)
+            else:
+                sets = _mostly_proper(rng, g, rng.randint(3, 6), 2)
+            least = naive_least_repetitive_path(g, sets, g.n)
+            for bound in range(2, g.n + 3, 2):
+                if mode == "plain":
+                    got = find_repetitive_path(g, [c for (c,) in sets], bound)
+                else:
+                    got = find_tuple_repetitive_path(g, sets, bound)
+                want = least if least and len(least[0]) <= bound else None
+                assert _as_found(got) == want
+
+
 def _star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -340,6 +380,51 @@ class TestLongPaths:
         w = find_repetitive_path(build_path(n), word, n)
         assert w.path == tuple(range(start, start + 2 * period))
         assert w.half_colors == tuple(word[start : start + period])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_square_in_a_cycle(self, seed):
+        """The paths of a cycle are the windows of its doubled word, read
+        either way: the witness is the least vertex sequence among the
+        square windows of the least period.  Around the cycle the word is
+        u 3 u 3 v 4 for square-free u and v that start with different
+        letters.  A square holds each letter an even number of times, so its
+        only square is u 3 u 3; the rotation puts it across the edge
+        (n - 1, 0)."""
+        rng = random.Random(seed)
+        n = 300 + seed % 2
+        l = rng.randint(2, 40)
+        u = gen_nonrepetitive(3, l - 1).symbols
+        v = [(c + 1) % 3 for c in gen_nonrepetitive(3, n - 2 * l - 1).symbols]
+        ring = [*u, 3, *u, 3, *v, 4]
+        r = rng.randrange(1, 2 * l)
+        word = ring[r:] + ring[:r]
+        doubled = word + word
+
+        def squares(p):
+            return [t for t in range(n) if doubled[t : t + p] == doubled[t + p : t + 2 * p]]
+
+        period = next(p for p in range(1, n // 2 + 1) if squares(p))
+        windows = [tuple((t + i) % n for i in range(2 * period)) for t in squares(period)]
+        want = min(min(w, w[::-1]) for w in windows)
+        w = find_repetitive_path(build_cycle(n), word, n - n % 2)
+        assert period == l
+        assert w.path == want
+        assert w.half_colors == tuple(word[x] for x in want[:period])
+
+    def test_budget_charges_one_node_per_half_length(self):
+        """One component, half-lengths 2..150: Budget(k) runs out on node
+        k + 1, and 149 nodes decide."""
+        g, word = build_path(300), gen_nonrepetitive(3, 300).symbols
+        for k in (0, 1, 74, 148):
+            b = Budget(k)
+            with pytest.raises(ResourceLimitError):
+                find_repetitive_path(g, word, 300, budget=b)
+            assert b.spent == k + 1
+        b = Budget(149)
+        assert find_repetitive_path(g, word, 300, budget=b) is None
+        assert b.spent == 149
+        with pytest.raises(ResourceLimitError, match="time budget"):
+            find_repetitive_path(g, word, 300, budget=Budget(time_budget=-1.0))
 
 
 class TestRainbow:
