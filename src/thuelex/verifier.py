@@ -18,13 +18,12 @@ more nodes, so the least l wins, then the least start, then the first
 extension.  Each first half that opens second halves charges the budget one
 node.
 
-The vertex search runs the kernel on the vertices, each with room 1;
-``step[x][L]`` lists the neighbours of x (ascending) whose set meets the set
-labelled L.  Its first repetition is the least repetitive path by (length,
-vertex sequence), which starts at its smaller endpoint, as the reversal of a
-repetition is one.
+The vertex search runs the kernel on the vertices, each with room 1.  Its
+first repetition is the least repetitive path by (length, vertex sequence),
+which starts at its smaller endpoint, as the reversal of a repetition is one.
 
-A graph with twins first runs the class search, which is exact.
+Paths run the class search first; it is exact, and without twins it is the
+vertex search.
 1. Twin classes.  False twins share their open neighbourhood and true twins
    their closed one.  No vertex u has both kinds: a false twin v and a true
    twin w of u would make w adjacent to v, so v adjacent to u.  Each class is
@@ -42,23 +41,27 @@ A graph with twins first runs the class search, which is exact.
    and (b) lift to distinct vertices, class by class and label by label,
    and 2 makes those a path.
 4. The search.  The kernel runs on the classes, each with room its size, so
-   it walks every class walk of 2 that enters no class too often.
-   ``step[c][P]`` lists the classes next to c (c too, for a clique) holding
-   a label that meets a label of P, the class l back.  A class pairs with
-   itself only through two meeting labels or one label held twice.  These
-   are (a) and (b) for one pair at a time, so they prune no walk of 3.  At a
-   complete walk ``fits`` decides (a) and (b) exactly.  A pair whose two
-   classes the walk enters once each takes any meeting labels, and the other
-   pairs try every choice.  So the class search meets a repetition of
-   half-length l iff a path has one.  Its rounds and cuts are those of the
-   vertex search, so its first repetition has the least l.  It walks each
-   class walk once, where the vertex search walks every choice of vertices
-   in it.
-5. The witness.  The vertex search then runs on that l alone (lo = l - 1,
-   bound 2l).  It returns what it would have returned over every
-   half-length, as its order is the least l, then the least start, then the
-   first extension.
-A graph without twins runs the vertex search alone.
+   it walks every class walk of 2 that enters no class too often.  A class
+   is keyed by the set of labels it holds, and ``step[c][K]`` lists the
+   classes next to c (c too, for a clique) holding a label that meets a
+   label of the set keyed K, for K the key of the class l back.  A class
+   pairs with itself only through two meeting labels or one label held
+   twice.  One that cannot, as no class of one vertex can, gets a key of
+   its own, which ``step`` never pairs it with: its key is the key l back
+   iff it is the class l back.  So ``step`` gives what a table keyed by the
+   class l back would, and these are (a) and (b) for one pair at a time:
+   they prune no walk of 3.  At a complete walk ``fits`` decides (a) and (b)
+   exactly.  A pair whose two classes the walk enters once each takes any
+   meeting labels, and the other pairs try every choice.  So the class
+   search meets a repetition of half-length l iff a path has one.  Its
+   rounds and cuts are those of the vertex search, so its first repetition
+   has the least l.  It walks each class walk once, where the vertex search,
+   these tables on one vertex per class, each keyed by its label alone,
+   walks every choice of vertices in it.
+5. The witness.  If a class has two or more vertices, the vertex search then
+   runs on that l alone (lo = l - 1, bound 2l).  It returns what it would
+   have returned over every half-length, as its order is the least l, then
+   the least start, then the first extension.
 
 A graph of maximum degree at most 2 runs neither search: after the edge scan
 the window scan finds the same witness.
@@ -207,57 +210,62 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _class_search(g: Graph, classes, lab, meets):
-    """The class search's ``adj``, ``step``, ``key``, ``room`` and ``fits``,
-    with the classes as nodes 0..len(classes)-1."""
-    cls = [0] * g.n
-    for c, members in enumerate(classes):
-        for v in members:
-            cls[v] = c
-    # held[c][L]: how many vertices of class c have the set labelled L
-    held = [Counter(lab[v] for v in members) for members in classes]
-    holding: dict = {}  # label -> the classes that hold it
-    for c, labels in enumerate(held):
-        for label in labels:
-            holding.setdefault(label, []).append(c)
-    # a true-twin class is among its own neighbours: a step inside it
-    adj = [sorted({cls[u] for u in g.adj[members[0]]}) for members in classes]
-    # a class pairs with itself only through two labels that meet, or one
-    # label that it holds twice
-    lone = {
-        c for c, labels in enumerate(held)
-        if not any(b in meets[a] and (a != b or n > 1) for a, n in labels.items() for b in labels)
-    }
-    step = []
-    for c, nbrs in enumerate(adj):
-        by_class: dict = {}  # the class l back -> the classes d that can pair with it
-        for d in nbrs:
-            for label in held[d]:
-                for meeting in meets[label]:
-                    for back in holding[meeting]:
-                        ds = by_class.setdefault(back, [])
-                        if (not ds or ds[-1] != d) and not (back == d and d in lone):
-                            ds.append(d)
-        step.append({back: ds for back, ds in by_class.items() if ds})
-
-    def fits(p, l: int) -> bool:
-        """Whether the positions of the class walk p can be labelled as the
-        module docstring asks.  A pair whose two classes the walk enters
-        once each takes any meeting labels; the other pairs try every
-        choice."""
-        visits = Counter(p)
-        choices = [
-            [((c, a), (d, b)) for a in held[c] for b in held[d] if b in meets[a]]
-            for c, d in zip(p[:l], p[l:])
-            if visits[c] > 1 or visits[d] > 1
+def _nodes(g: Graph, classes, lab, meets):
+    """The kernel's ``adj``, ``step``, ``key`` and end check ``fits`` with the
+    classes as its nodes; for one vertex per class, the vertex search's."""
+    if len(classes) == g.n:  # a vertex is keyed by its label, and pairs with meets
+        adj, key, pairs, fits = g.adj, lab, meets, _not_boring
+    else:
+        # held[c][L]: how many vertices of class c have the set labelled L
+        held = [Counter(map(lab.__getitem__, members)) for members in classes]
+        cls = {v: c for c, members in enumerate(classes) for v in members}
+        # a true-twin class is among its own neighbours: a step inside it
+        adj = [sorted({cls[u] for u in g.adj[members[0]]}) for members in classes]
+        # key[c]: the id of c's set of labels, or ~c if c cannot pair with
+        # itself: no two labels it holds meet, and it holds no label twice
+        # that meets itself
+        ids: dict = {}
+        key = [
+            ids.setdefault(frozenset(labels), len(ids)) if any(
+                n > 1 and a in meets[a] or any(b != a and b in labels for b in meets[a])
+                for a, n in labels.items()
+            ) else ~c
+            for c, labels in enumerate(held)
         ]
-        for choice in product(*choices):
-            count = Counter(x for pair in choice for x in pair)
-            if all(n <= held[c][a] for (c, a), n in count.items()):
-                return True
-        return False
+        keyed = dict(zip(key, range(len(key))))  # each key -> a class keyed so
+        holding: dict = {}  # label -> the keys whose label sets hold it
+        for k, c in keyed.items():
+            for a in held[c]:
+                holding.setdefault(a, []).append(k)
+        # pairs[k]: the keys that a class keyed k pairs with, never its own ~c
+        pairs = {
+            k: {j for a in held[c] for b in meets[a] for j in holding[b]} - {~c}
+            for k, c in keyed.items()
+        }
 
-    return adj, step, range(len(classes)), [len(members) for members in classes], fits
+        def fits(p, l: int) -> bool:
+            """Whether the positions of the class walk p can be labelled as
+            point 4 of the module docstring asks."""
+            visits = Counter(p)
+            choices = [
+                [((c, a), (d, b)) for a in held[c] for b in held[d] if b in meets[a]]
+                for c, d in zip(p[:l], p[l:])
+                if visits[c] > 1 or visits[d] > 1
+            ]
+            for choice in product(*choices):
+                count = Counter(x for pair in choice for x in pair)
+                if all(n <= held[c][a] for (c, a), n in count.items()):
+                    return True
+            return False
+
+    step = []
+    for nbrs in adj:
+        by_key: dict = {}  # key l back -> the neighbours (ascending) that pair with it
+        for d in nbrs:
+            for j in pairs[key[d]]:
+                by_key.setdefault(j, []).append(d)
+        step.append(by_key)
+    return adj, step, key, fits
 
 
 def _window_scan(adj, lab, meets, bound: int, budget: Budget):
@@ -326,29 +334,21 @@ def _find_repetition(
             holders.setdefault(c, []).append(label)
     # meets[L]: the labels of every set that meets the set labelled L
     meets = [{m for c in s for m in holders[c]} for s in labels]
-    adj = g.adj
-    step = []
-    for x in range(g.n):
-        by_label: dict = {}
-        for u in adj[x]:
-            for label in meets[lab[u]]:
-                by_label.setdefault(label, []).append(u)
-        step.append(by_label)
-    for start in range(g.n):  # half-length 1: an edge whose ends' sets meet
-        for u in step[start].get(lab[start], ()):
-            return RepetitionWitness((start, u), (min(sets[start] & sets[u]),))
-    if not walks and max(map(len, adj), default=0) <= 2:
-        p = _window_scan(adj, lab, meets, bound, budget)
+    for start, nbrs in enumerate(g.adj):  # half-length 1: an edge whose ends' sets meet
+        for u in nbrs:
+            if lab[u] in meets[lab[start]]:
+                return RepetitionWitness((start, u), (min(sets[start] & sets[u]),))
+    if not walks and max(map(len, g.adj), default=0) <= 2:
+        p = _window_scan(g.adj, lab, meets, bound, budget)
     else:
-        lo = 1
-        if not walks and len(classes := _twin_classes(g)) < g.n:
-            p = _search(*_class_search(g, classes, lab, meets), lo, bound, budget)
-            if p is None:
-                return None
-            bound = len(p)
-            lo = bound // 2 - 1
-        room = [bound if walks else 1] * g.n
-        p = _search(adj, step, lab, room, _not_boring, lo, bound, budget)
+        singles = [[v] for v in range(g.n)]
+        classes = singles if walks else _twin_classes(g)
+        adj, step, key, fits = _nodes(g, classes, lab, meets)
+        room = [bound] * g.n if walks else [len(members) for members in classes]
+        p = _search(adj, step, key, room, fits, 1, bound, budget)
+        if p and len(classes) < g.n:  # the witness: the vertex search at l alone
+            adj, step, key, fits = _nodes(g, singles, lab, meets)
+            p = _search(adj, step, key, [1] * g.n, fits, len(p) // 2 - 1, len(p), budget)
     if p is None:
         return None
     l = len(p) // 2

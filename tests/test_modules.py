@@ -100,6 +100,39 @@ def test_verifier_has_one_search():
     assert len(loops) == 1, f"verifier.py has while loops at lines {loops}"
 
 
+def test_verifier_has_one_table_builder():
+    """The vertex and the class searches take the kernel's ``step`` table
+    from one builder, ``_nodes``, so a second builder cannot come back
+    unnoticed.  A function builds a table when it binds ``step`` to anything
+    but what ``_nodes`` returns, assigns into it or calls a method of it."""
+
+    def builds(node):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            named = any(
+                isinstance(n, ast.Name) and n.id == "step" for t in targets for n in ast.walk(t)
+            )
+            from_nodes = (
+                isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "_nodes"
+            )
+            return named and not from_nodes
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "step"
+            and node.attr != "get"
+        )
+
+    found = {
+        fn.name
+        for fn in ast.walk(_modules()["verifier"])
+        if isinstance(fn, ast.FunctionDef) and any(map(builds, ast.walk(fn)))
+    }
+    assert found == {"_nodes"}
+
+
 def test_one_path_dfs_in_the_package():
     """The solver takes its paths from the verifier, so the verifier's
     kernel is the package's only explicit-stack path search."""

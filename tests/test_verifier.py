@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import thuelex
 from oracles import (
     check_tuple_witness,
     check_witness,
@@ -329,6 +334,52 @@ class TestTwinClasses:
         for bound in range(2, 16, 2):
             assert find_repetitive_path(g, colors, bound) is None
         assert naive_least_repetitive_path(g, [(c,) for c in colors], 14) is None
+
+    def test_lone_layers_with_one_label_set(self):
+        # P_6[E_2], layers colored {0,1} {2,3} {4,5} {0,1} {2,3} {4,5}: each
+        # layer is rainbow, so it cannot pair with itself, and the layer
+        # three on holds the same colors.  The least witness 0 2 4 0 2 4
+        # pairs each layer with that one.  The class search and then the
+        # vertex search at l = 3 each open second halves once; a table that
+        # let a rainbow layer pair with itself would open them after every
+        # first half that steps back next to the layer it starts in.
+        g = lex_product(build_path(6), EMPTY, 2).view
+        colors = (0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5)
+        assert self._check(g, [(c,) for c in colors], "plain") == 6
+        for bound in range(2, 14, 2):
+            budget = Budget()
+            find_repetitive_path(g, colors, bound, budget=budget)
+            assert budget.spent == (0 if bound < 6 else 2), bound
+
+    def test_single_vertex_classes_beside_twins(self):
+        # P_4 plus a false twin (4) of vertex 1, every color distinct: the
+        # class search runs on 0, C = {1, 4}, 2 and 3.  Its classes of one
+        # vertex cannot pair with themselves either, so no first half opens
+        # second halves.  A table that let them would open them after the
+        # first halves 0 C, 2 C, 2 3 and 3 2.
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (2, 4)])
+        budget = Budget()
+        assert find_repetitive_path(g, range(5), 4, budget=budget) is None
+        assert budget.spent == 0
+
+    def test_large_class_of_distinct_labels(self):
+        # K_1,3 plus 40,000 isolated vertices, every color distinct: the
+        # isolated vertices form one twin class of 40,000 labels.  Whether a
+        # class can pair with itself costs a pass over the labels meeting
+        # each of its labels, not a pass per pair of them, so this bound-4
+        # check takes well under a second
+        code = (
+            "from thuelex import Graph, find_repetitive_path\n"
+            "g = Graph.from_edges(40_004, [(0, 1), (0, 2), (0, 3)])\n"
+            "print(find_repetitive_path(g, range(g.n), 4))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(thuelex.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=30
+        ).stdout
+        assert out.strip() == "None"
 
     def test_round_schedule_witness(self):
         # copying layers 7..10 of P_16[K_2] onto 11..14 plants an 8-vertex
