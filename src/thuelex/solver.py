@@ -1,46 +1,51 @@
 """Exact Thue, rainbow-Thue and tuple-coloring feasibility on small instances
 by branch and bound.
 
-One engine, ``_search``, serves every mode: it gives each vertex a p-subset
-of the palette as a bitmask, with p = 1 for plain and rainbow colorings (a
-plain color c is the mask 1 << c).  Vertices are assigned in a fixed order
-(BFS from vertex 0, or whole layers for rainbow searches), so the colored set
-is always a prefix of that order.  The constraints are paths as flat lists of
-agreement pairs, positions whose masks must not all meet, bucketed by their
-largest rank in assignment order; when a vertex is (re)assigned, exactly the
-constraints completed by it need rechecking.  Value symmetry is broken by
-allowing fresh colors only as the block right above the largest color used;
-ascending-q optimum searches make the dominant infeasibility proofs as small
-as possible.  Budget exhaustion raises ResourceLimitError, which ``_solve``
-catches once.
+One engine, ``_search``, serves every mode: it gives each vertex a p-subset of
+the palette as a bitmask, with p = 1 for plain and rainbow colorings (a plain
+color c is the mask 1 << c).  Vertices are assigned class by class, single
+vertices in BFS order from vertex 0 or rainbow layers in base BFS order.
+Value symmetry is broken by allowing fresh colors only as the block right
+above the largest color used, and the colors of a class ascend.  Ascending-q
+optimum searches make the dominant infeasibility proofs as small as possible.
+Budget exhaustion raises ResourceLimitError, which ``_solve`` catches once.
 
-The verifier is the only source of longer paths (lazy cuts):
-1. The starting constraints are the edges, the 2-vertex paths, and for
-   rainbow searches every pair of vertices in one layer.  They are built once
+Rainbow layers may ascend.  A layer's vertices are twins, false in G[E_k] and
+true in G[K_k], so permuting its colors is an automorphism, and an ascending
+layer is rainbow.  Make any rainbow coloring canonical, then sort each layer:
+a layer's fresh colors are its largest, so sorted they come last and
+consecutive, and the result stays canonical.  With every pair of one layer as
+a constraint, the search returns the least canonical coloring in candidate
+order, which ascends, as sorting a layer that does not would give a smaller
+one.  So the witness is the same.
+
+The constraints are paths as flat lists of agreement pairs, positions whose
+masks must not all meet, bucketed by their largest rank in assignment order;
+a (re)assigned vertex rechecks exactly the ones it completes.  The verifier
+is the only source of longer paths (lazy cuts):
+1. The starting constraints are the edges, the 2-vertex paths, built once
    per call and shared by every palette size, as is every cut added to them.
 2. Each complete coloring is checked by ``find_tuple_repetitive_path`` at
    the verifier's ``exact_bound`` (a plain color c is the set {c}); a graph of
    fewer than 2 vertices has no even path and is not checked.  A coloring
-   that passes is the answer.
+   that passes is the answer; the checks are charged to the one budget.
 3. The witness of one that fails, a repetitive path, is added as a cut to
    the bucket of its largest rank r, and the search resumes at rank r with
    the candidate placed there, which the cut now rejects.
 4. When ``_search`` finds no coloring, q is infeasible: its constraints are
    a relaxation of the full problem.
-The exact checks are charged to the one budget.
 
 The answers are those of a search over every even path.  ``_search`` tries
 candidates in one fixed order and prunes a prefix only when a constraint
 inside it is violated, so it meets complete colorings in that order and
-returns the first that violates no constraint and passes the check.  Every
-cut is a path of the graph that no nonrepetitive coloring makes repetitive,
-so the full problem's first coloring is never pruned, and every complete
-coloring before it that the constraints let through is repetitive and fails
-the check.  Resuming at rank r skips only colorings that match the rejected
-one on ranks <= r, and each of those violates the cut, whose vertices all
-have rank <= r.  So the first coloring that passes is the full problem's
-first.  The search only moves forward in that order, so it ends.  The
-status, value and witness are therefore unchanged; ``nodes_explored`` is
+returns the first that violates no constraint and passes the check.  Every cut
+is a path that no nonrepetitive coloring makes repetitive, so the full
+problem's first coloring is never pruned, and every complete coloring before
+it that the constraints let through fails the check.  Resuming at rank r skips
+only colorings that match the rejected one on ranks <= r, each of which
+violates the cut, whose vertices all have rank <= r.  So the first coloring
+that passes is the full problem's first, and the search ends, as it only moves
+forward.  Status, value and witness are thus unchanged; ``nodes_explored`` is
 not.
 """
 
@@ -126,23 +131,27 @@ def _search(
     p: int,
     q: int,
     budget: Budget,
-    order: list[int],
+    classes: list[tuple[int, ...]],
     buckets: list[list[tuple]],
     check,
     *,
     symmetry_breaking: bool = True,
 ) -> list[tuple[int, ...]] | None:
-    """The one assignment engine: gives every vertex a p-subset of 0..q-1
-    (p = 1 for plain and rainbow colorings), returned per vertex, or None
-    when no assignment meets the constraints and passes ``check``.
+    """The one assignment engine: gives every vertex a p-subset of 0..q-1,
+    returned per vertex, or None when no assignment meets the constraints
+    and passes ``check``.
 
-    ``buckets[r]`` holds the flat-pairs constraints whose largest rank in
-    ``order`` is r.  ``check(sets)`` returns None for a complete assignment
-    it accepts, else a witness whose path is added to ``buckets`` as a cut;
-    the search then resumes at the cut's largest rank.  Candidates at rank r
-    are ``_tuple_candidates(maxused[r], p, q)``, or every p-subset when
-    symmetry breaking is off.  Each candidate tried costs one node of the
-    budget."""
+    Vertices are assigned in the order of ``classes``, and ``buckets[r]``
+    holds the flat-pairs constraints completed at rank r.  ``check(sets)``
+    returns None for a complete assignment it accepts, else a witness whose
+    path is added to ``buckets`` as a cut, at whose largest rank the search
+    resumes.  Candidates at rank r, one node each, are
+    ``_tuple_candidates(maxused[r], p, q)``, or every p-subset when symmetry
+    breaking is off.  For p = 1 the candidate at index c is color c, so a
+    vertex after the first of its class starts above the color before it;
+    classes of more than one vertex need p = 1."""
+    order = [v for c in classes for v in c]
+    ascend = [i > 0 for c in classes for i in range(len(c))] + [False]
     n = len(order)
     rank = [0] * n
     for r, v in enumerate(order):
@@ -191,21 +200,16 @@ def _search(
             s = placed[r] = cands[i][1]
             maxused[r + 1] = max(maxused[r], s[-1])
             r += 1
-            try_next[r] = 0
+            try_next[r] = s[-1] + 1 if ascend[r] else 0
         else:
             r -= 1
             if r < 0:
                 return None
 
 
-def _rainbow(pg: ProductGraph) -> dict:
-    """Engine options for rainbow searches: whole layers in base BFS order,
-    and every pair of vertices in one layer as a constraint."""
-    layers = [layer_vertices(pg, b) for b in bfs_order(pg.base)]
-    return {
-        "order": [v for layer in layers for v in layer],
-        "layer_pairs": [pair for layer in layers for pair in combinations(layer, 2)],
-    }
+def _rainbow(pg: ProductGraph) -> list[tuple[int, ...]]:
+    """The classes of rainbow searches: the layers in base BFS order."""
+    return [layer_vertices(pg, b) for b in bfs_order(pg.base)]
 
 
 def _solve(
@@ -217,29 +221,27 @@ def _solve(
     optimum: bool = False,
     tuples: bool = False,
     symmetry_breaking: bool = True,
-    order: list[int] | None = None,
-    layer_pairs=(),
+    classes: list[tuple[int, ...]] | None = None,
 ) -> SolveResult:
     """What every entry point runs: decide palette size q, or with
-    ``optimum`` find the least size >= q by ascending search up to
-    max(n, q) (distinct colors everywhere always work).  The sizes share
-    the edges, the ``layer_pairs`` and the verifier's cuts, all charged to
-    one budget (a fresh ``Budget()`` for None), in the given assignment
-    order (BFS unless given).  The witness is a ``TupleColoring`` with
-    ``tuples``, else a ``Coloring``.  An optimum is exact only when
-    feasibility at it and infeasibility below it both are: when the budget
-    runs out, an optimum search reports the size it was deciding as a lower
-    bound, and a decision reports a timeout."""
+    ``optimum`` find the least size >= q by ascending search up to max(n, q)
+    (distinct colors everywhere always work).  The sizes share the edges and
+    the cuts, all charged to one budget (a fresh ``Budget()`` for None), and
+    assign in the order of ``classes`` (BFS unless given).  The witness is a
+    ``TupleColoring`` with ``tuples``, else a ``Coloring``.  An optimum is
+    exact only when feasibility at it and infeasibility below it both are:
+    when the budget runs out, an optimum search reports the size it was
+    deciding as a lower bound, and a decision reports a timeout."""
     if q < 1:
         raise ValueError("palette size must be positive")
     budget = budget or Budget()
     before = budget.spent
-    order = order or bfs_order(g)
+    classes = classes or [(v,) for v in bfs_order(g)]
     rank = [0] * g.n
-    for r, v in enumerate(order):
+    for r, v in enumerate(v for c in classes for v in c):
         rank[v] = r
     buckets: list[list[tuple]] = [[] for _ in range(g.n)]
-    for u, v in (*g.edges(), *layer_pairs):
+    for u, v in g.edges():
         buckets[max(rank[u], rank[v])].append((u, v))
     full = exact_bound(g)
 
@@ -250,7 +252,7 @@ def _solve(
     status, value, witness = STATUS_EXACT, False, None
     try:
         for q in range(q, cap + 1):
-            sets = _search(p, q, budget, order, buckets, check, symmetry_breaking=symmetry_breaking)
+            sets = _search(p, q, budget, classes, buckets, check, symmetry_breaking=symmetry_breaking)
             if sets is not None:
                 value = q if optimum else True
                 witness = (
@@ -284,18 +286,16 @@ def thue_number(g: Graph, budget: Budget | None = None) -> SolveResult:
 def rainbow_exists_coloring(
     pg: ProductGraph, q: int, budget: Budget | None = None
 ) -> SolveResult:
-    """Decide existence of a nonrepetitive coloring with every layer rainbow.
-
-    Branches over ordered layer tuples (vertex by vertex within the layer,
-    which prunes tuple prefixes early); the first layer is canonically
-    colored 0..k-1 by the combination of value symmetry breaking and the
-    rainbow pair constraints."""
-    return _solve(pg.view, 1, q, budget, **_rainbow(pg))
+    """Decide existence of a nonrepetitive coloring with every layer
+    rainbow.  Layers are assigned whole, their colors strictly ascending,
+    which makes them rainbow; the module docstring proves that this loses no
+    coloring and keeps the witness."""
+    return _solve(pg.view, 1, q, budget, classes=_rainbow(pg))
 
 
 def rainbow_thue_number(pg: ProductGraph, budget: Budget | None = None) -> SolveResult:
     """Smallest palette for a rainbow nonrepetitive coloring of the product."""
-    return _solve(pg.view, 1, pg.k, budget, optimum=True, **_rainbow(pg))
+    return _solve(pg.view, 1, pg.k, budget, optimum=True, classes=_rainbow(pg))
 
 
 def exists_tuple_coloring(

@@ -9,8 +9,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from oracles import check_witness, naive_repetitive_path_exists
 from thuelex import (
     COMPLETE,
@@ -40,6 +38,7 @@ from thuelex import (
     label_layers,
     layer_color_sets,
     lex_product,
+    rainbow_exists_coloring,
     rainbow_thue_number,
     search_constrained,
     thue_number,
@@ -276,19 +275,20 @@ def test_criterion_12_walks():
         assert is_walk_nonrepetitive(g, (0, 1, 2), 8)
 
 
-@pytest.mark.skipif(
-    "THUELEX_LEMMA9" not in __import__("os").environ,
-    reason="long-running optional job; set THUELEX_LEMMA9=1 to run",
-)
-def test_optional_lemma9_rainbow_lower_bound():
-    """Optional: pi_R(P_24[E_2]) >= 7, i.e. no rainbow nonrepetitive
-    6-coloring of P_24[E_2].  The instance is far beyond desk scale; a budget
-    exhaustion reports as a skip, an exact answer is asserted."""
-    from thuelex import Budget, rainbow_exists_coloring
+def test_lemma9_rainbow_lower_bound():
+    """Lemma 9, pi_R(P_24[E_2]) >= 7: no rainbow nonrepetitive 6-coloring of
+    P_24[E_2], decided exactly.  The paper says only "sufficiently long";
+    22 is the least length: P_21[E_2] has a rainbow 6-coloring, which passes
+    the exact check, and P_22[E_2] has none."""
+    def rainbow6(n):
+        pg = lex_product(build_path(n), EMPTY, 2)
+        return pg, rainbow_exists_coloring(pg, 6)
 
-    pg = lex_product(build_path(24), EMPTY, 2)
-    budget = int(__import__("os").environ.get("THUELEX_LEMMA9_NODES", 10**8))
-    r = rainbow_exists_coloring(pg, 6, Budget(budget))
-    if r.status == "timeout":
-        pytest.skip(f"not decided within {budget} nodes")
-    assert r.status == "exact" and r.value is False
+    _, r = rainbow6(24)
+    assert (r.status, r.value, r.nodes_explored) == ("exact", False, 320_861)
+    pg, r = rainbow6(21)
+    assert (r.status, r.value, r.nodes_explored) == ("exact", True, 109_373)
+    assert is_rainbow(pg, r.witness.colors)
+    assert find_repetitive_path(pg.view, r.witness.colors, 42) is None
+    _, r = rainbow6(22)
+    assert (r.status, r.value, r.nodes_explored) == ("exact", False, 270_184)

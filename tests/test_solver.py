@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -107,9 +107,10 @@ class TestThueNumber:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_single_layer_rainbow(self, k):
-        """The first palette of P_1[E_k], k, is also the last one tried."""
+        """The first palette of P_1[E_k], k, is also the last one tried, and
+        the ascending layer takes one node a vertex."""
         r = rainbow_thue_number(lex_product(build_path(1), EMPTY, k))
-        assert r.status == "exact" and r.value == k
+        assert (r.status, r.value, r.nodes_explored) == ("exact", k, k)
 
     def test_subgraph_monotonicity(self):
         values = [thue_number(build_path(n)).value for n in range(3, 9)]
@@ -188,18 +189,19 @@ P6E2 = lex_product(build_path(6), EMPTY, 2)
 
 # (call, status, value, nodes_explored).  The statuses and values were
 # recorded before the plain, rainbow and tuple searches were merged into one
-# engine, the node counts under lazy cuts from the exact check; any change to
-# candidate order, the cuts or budget charging shows up here.
+# engine, the node counts under lazy cuts from the exact check (the rainbow
+# ones with ascending layers); any change to candidate order, the cuts or
+# budget charging shows up here.
 PINNED = [
-    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 344),
+    (lambda: rainbow_exists_coloring(P6E2, 5), "exact", False, 110),
     (lambda: exists_tuple_coloring(build_cycle(9), 2, 5), "exact", False, 476),
     (lambda: exists_tuple_coloring(build_cycle(7), 2, 7), "exact", True, 1297),
     (lambda: exists_tuple_coloring(build_cycle(5), 2, 4), "exact", False, 23),
     (lambda: exists_coloring(build_cycle(7), 4, symmetry_breaking=False), "exact", True, 46),
     (lambda: thue_number(build_rooted_tree(2, 1, 2)[0]), "exact", 3, 30),
     (lambda: exists_coloring(P6E2.view, 5, Budget(100)), "timeout", None, 101),
-    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 1814),
-    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(100)), "timeout", None, 101),
+    (lambda: rainbow_thue_number(lex_product(build_path(8), EMPTY, 2)), "exact", 6, 780),
+    (lambda: rainbow_exists_coloring(P6E2, 6, Budget(50)), "timeout", None, 51),
 ]
 
 
@@ -322,13 +324,13 @@ def _flat_pairs(path):
     return tuple(v for pair in zip(path[:l], path[l:]) for v in pair)
 
 
-def _full_enumeration(g, p, palettes, symmetry_breaking=True, order=None, layer_pairs=()):
+def _full_enumeration(g, p, palettes, symmetry_breaking=True, classes=None, pairs=()):
     """The first palette size with a solution and its sets, searched under
-    every even path of g at once and a check that never cuts, or
-    (None, None)."""
-    order = order or solver.bfs_order(g)
-    rank = {v: r for r, v in enumerate(order)}
-    constraints = list(layer_pairs)
+    every even path of g and the extra constraints ``pairs`` at once and a
+    check that never cuts, or (None, None)."""
+    classes = classes or [(v,) for v in solver.bfs_order(g)]
+    rank = {v: r for r, v in enumerate(v for c in classes for v in c)}
+    constraints = list(pairs)
     for path in all_simple_paths(g):
         if len(path) % 2 == 0 and path[0] < path[-1]:
             constraints.append(_flat_pairs(path))
@@ -337,7 +339,7 @@ def _full_enumeration(g, p, palettes, symmetry_breaking=True, order=None, layer_
         buckets[max(rank[v] for v in c)].append(c)
     for q in palettes:
         sets = solver._search(
-            p, q, Budget(), order, buckets, lambda sets: None, symmetry_breaking=symmetry_breaking
+            p, q, Budget(), classes, buckets, lambda sets: None, symmetry_breaking=symmetry_breaking
         )
         if sets is not None:
             return q, sets
@@ -352,8 +354,8 @@ def _restarting(search):
     """``search`` (the engine) run again from rank 0 after every cut, which
     it keeps, instead of resuming at the cut's rank."""
 
-    def restarting(p, q, budget, order, buckets, check, **options):
-        rank = {v: r for r, v in enumerate(order)}
+    def restarting(p, q, budget, classes, buckets, check, **options):
+        rank = {v: r for r, v in enumerate(v for c in classes for v in c)}
 
         def cut(sets):
             found = check(sets)
@@ -364,7 +366,7 @@ def _restarting(search):
 
         while True:
             try:
-                return search(p, q, budget, order, buckets, cut, **options)
+                return search(p, q, budget, classes, buckets, cut, **options)
             except _Restart:
                 pass
 
@@ -381,9 +383,18 @@ def _cut_cases():
         return (r.value, r.witness.colors), (q, tuple(c for (c,) in sets))
 
     def rainbow(pg):
+        """Against the search that ascending layers replaced: one vertex at a
+        time in layer order, every pair of one layer a constraint."""
         r = rainbow_thue_number(pg)
         assert r.status == "exact"
-        q, sets = _full_enumeration(pg.view, 1, range(pg.k, pg.view.n + 1), **solver._rainbow(pg))
+        layers = solver._rainbow(pg)
+        q, sets = _full_enumeration(
+            pg.view,
+            1,
+            range(pg.k, pg.view.n + 1),
+            classes=[(v,) for layer in layers for v in layer],
+            pairs=[pair for layer in layers for pair in combinations(layer, 2)],
+        )
         return (r.value, r.witness.colors), (q, tuple(c for (c,) in sets))
 
     def tuples(g, p, q):
@@ -413,6 +424,9 @@ def _cut_cases():
             pg = lex_product(build_path(n), inner, 2)
             cases.append((f"thue-P{n}{tag}2", lambda pg=pg: plain(pg.view)))
             cases.append((f"rainbow-P{n}{tag}2", lambda pg=pg: rainbow(pg)))
+    rainbows = [(f"P{n}E3", lex_product(build_path(n), EMPTY, 3)) for n in (1, 2, 3)]
+    rainbows.append(("C5E2", lex_product(build_cycle(5), EMPTY, 2)))
+    cases += [(f"rainbow-{name}", lambda pg=pg: rainbow(pg)) for name, pg in rainbows]
     for n in range(3, 11):
         for p, q in ((2, 5), (2, 6), (2, 7), (3, 8)):
             case = lambda n=n, p=p, q=q: tuples(build_cycle(n), p, q)
