@@ -34,9 +34,7 @@ class Coloring(FrozenValue):
         for c in colors:
             if not 0 <= c < palette:
                 raise ValueError(f"color {c} outside palette of size {palette}")
-        fields = self.__dict__
-        fields["palette"] = palette
-        fields["colors"] = colors
+        super().__init__(palette, colors)
 
 
 class TupleColoring(FrozenValue):
@@ -54,10 +52,7 @@ class TupleColoring(FrozenValue):
                 raise ValueError(f"set {s} is not a {p}-subset")
             if list(s) != sorted(s) or not all(0 <= c < q for c in s):
                 raise ValueError(f"set {s} is not an ascending subset of 0..{q - 1}")
-        fields = self.__dict__
-        fields["p"] = p
-        fields["q"] = q
-        fields["sets"] = sets
+        super().__init__(p, q, sets)
 
 
 # The least word of length L is not always a prefix of the least word of

@@ -4,9 +4,11 @@ shared across the package.
 Invalid arguments raise the stdlib ValueError everywhere; only outcomes that
 callers are expected to branch on get their own class.  ``FrozenValue`` gives
 every value type of the package (graphs, colorings, sequences, results and
-witnesses) equality, hashing, a repr and immutability from plain methods, so
-that a command's start-up imports no class generator (nor ``inspect``, which
-such generators pull in) and generates no code.
+witnesses) construction, equality, hashing, a repr and immutability from plain
+methods, so that a command's start-up imports no class generator (nor
+``inspect``, which such generators pull in) and generates no code.  The base
+alone stores a value's fields; a value type declares them and, where it has
+invariants, checks them.
 """
 
 import time
@@ -49,8 +51,11 @@ class Budget:
 
 class FrozenValue:
     """Immutable value data.  A subclass declares its fields, in order, as
-    class annotations; its own ``__init__`` validates them and stores each in
-    ``self.__dict__``.  Values of the same class are equal when their fields
+    class annotations, and is built from one positional value per field,
+    which the base stores in that declared order.  A subclass defines
+    ``__init__`` only to validate its fields (ValueError for an invalid one)
+    and then calls ``super().__init__`` with them.  A wrong number of fields
+    raises TypeError.  Values of the same class are equal when their fields
     are, and equal values hash alike; a value never equals one of another
     class.  Assigning or deleting an attribute raises AttributeError.
     Instances keep a ``__dict__``, so ``copy``, ``deepcopy`` and ``pickle``
@@ -61,6 +66,13 @@ class FrozenValue:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            name = self.__class__.__qualname__
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(values)}")
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         fields = self.__dict__

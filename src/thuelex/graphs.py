@@ -50,9 +50,7 @@ class Graph(FrozenValue):
         for u, v in seen:
             if (v, u) not in seen:
                 raise ValueError(f"edge {u}-{v} is not symmetric")
-        fields = self.__dict__
-        fields["n"] = n
-        fields["adj"] = adj
+        super().__init__(n, adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -101,24 +99,12 @@ class ProductGraph(FrozenValue):
     inner_kind: str
     view: Graph
 
-    def __init__(self, base, k, inner_kind, view):
-        fields = self.__dict__
-        fields["base"] = base
-        fields["k"] = k
-        fields["inner_kind"] = inner_kind
-        fields["view"] = view
-
 
 class RootedTreeMeta(FrozenValue):
     """Root id and per-vertex distance from the root."""
 
     root: int
     level: tuple[int, ...]
-
-    def __init__(self, root, level):
-        fields = self.__dict__
-        fields["root"] = root
-        fields["level"] = level
 
 
 def build_path(n: int) -> Graph:

@@ -68,9 +68,7 @@ class SymbolSeq(FrozenValue):
         for x in symbols:
             if not 0 <= x < sigma:
                 raise ValueError(f"symbol {x} outside alphabet of size {sigma}")
-        fields = self.__dict__
-        fields["symbols"] = symbols
-        fields["sigma"] = sigma
+        super().__init__(symbols, sigma)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -116,11 +114,6 @@ class GapProfile(FrozenValue):
     peaks: tuple[int, ...]
     gaps: tuple[int, ...]
 
-    def __init__(self, peaks, gaps):
-        fields = self.__dict__
-        fields["peaks"] = peaks
-        fields["gaps"] = gaps
-
 
 class ValleyPattern(FrozenValue):
     """Result of matching a valley against the three canonical shapes.
@@ -133,12 +126,6 @@ class ValleyPattern(FrozenValue):
     pattern: int
     window: tuple[int, int]
     letter_map: tuple[int, int, int]
-
-    def __init__(self, pattern, window, letter_map):
-        fields = self.__dict__
-        fields["pattern"] = pattern
-        fields["window"] = window
-        fields["letter_map"] = letter_map
 
 
 def _least_square_start(buf: bytes, period: int) -> int | None:

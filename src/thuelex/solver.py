@@ -79,13 +79,6 @@ class SolveResult(FrozenValue):
     witness: Coloring | TupleColoring | None
     nodes_explored: int
 
-    def __init__(self, status, value, witness, nodes_explored):
-        fields = self.__dict__
-        fields["status"] = status
-        fields["value"] = value
-        fields["witness"] = witness
-        fields["nodes_explored"] = nodes_explored
-
 
 def bfs_order(g: Graph) -> list[int]:
     """BFS order from vertex 0; restarts at the smallest unvisited vertex."""

@@ -109,11 +109,6 @@ class RepetitionWitness(FrozenValue):
     path: tuple[int, ...]
     half_colors: tuple[int, ...]
 
-    def __init__(self, path, half_colors):
-        fields = self.__dict__
-        fields["path"] = path
-        fields["half_colors"] = half_colors
-
 
 def exact_bound(g: Graph) -> int:
     """|V| rounded down to even: a path bound is exact iff it is at least this."""
@@ -334,13 +329,13 @@ def _find_repetition(
             holders.setdefault(c, []).append(label)
     # meets[L]: the labels of every set that meets the set labelled L
     meets = [{m for c in s for m in holders[c]} for s in labels]
-    for start, nbrs in enumerate(g.adj):  # half-length 1: an edge whose ends' sets meet
-        for u in nbrs:
-            if lab[u] in meets[lab[start]]:
-                return RepetitionWitness((start, u), (min(sets[start] & sets[u]),))
-    if not walks and max(map(len, g.adj), default=0) <= 2:
+    # half-length 1: the first edge whose ends' sets meet
+    p = next(
+        ((v, u) for v, nbrs in enumerate(g.adj) for u in nbrs if lab[u] in meets[lab[v]]), None
+    )
+    if p is None and not walks and max(map(len, g.adj), default=0) <= 2:
         p = _window_scan(g.adj, lab, meets, bound, budget)
-    else:
+    elif p is None:
         singles = [[v] for v in range(g.n)]
         classes = singles if walks else _twin_classes(g)
         adj, step, key, fits = _nodes(g, classes, lab, meets)

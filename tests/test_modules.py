@@ -218,6 +218,27 @@ def test_one_solve_result_constructor():
     assert _calls_by_function("SolveResult") == ["solver._solve"]
 
 
+def test_one_repetition_witness_constructor():
+    """``verifier._find_repetition`` turns the path of every search, the
+    half-length-1 edge scan included, into a witness at one return."""
+    assert _calls_by_function("RepetitionWitness") == ["verifier._find_repetition"]
+
+
+def test_only_the_value_base_touches_instance_dicts():
+    """``errors.FrozenValue`` alone stores a value's fields, so no other
+    module reads or writes ``self.__dict__``."""
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__dict__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+    assert found and all(f.startswith("errors.py:") for f in found), found
+
+
 def test_verify_writes_one_report():
     """``verify`` checks all of its input first, so its checks fill one
     report that one ``_emit`` writes."""

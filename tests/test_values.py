@@ -123,6 +123,16 @@ def test_copy_deepcopy_and_pickle_round_trip(cls):
         assert type(twin) is cls and twin == value and hash(twin) == hash(value)
 
 
+@VALUE_CLASSES
+def test_wrong_field_count_raises_type_error(cls):
+    fields, make, _ = CASES[cls]
+    values = [getattr(make(), name) for name in fields]
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+
+
 @pytest.mark.parametrize(
     "build",
     [
