@@ -26,19 +26,23 @@ l is a run of l such positions, so it lies in one segment.  A segment of at
 least _BLOCK - 1 positions starts with a (_BLOCK-1)-letter tail that also
 occurs l letters earlier, and the letters before the two copies differ (or
 the earlier copy starts the word), since otherwise the segment would reach
-one position further left.  An index from each tail to the letters before
-it, and from each of those to the positions the tail ends at, therefore
-names every such segment exactly once, where its first _BLOCK - 1 positions
-end; each is then checked once.  The word engine checks a segment where it
-could first close a square; find_repetition checks whether it is at least l
-positions long.  Shorter periods are found through the occurrences of the
-placed letter in the engine and through one xor pass each in
-find_repetition.
+one position further left.  So each such segment is named exactly once,
+where its first _BLOCK - 1 positions end, p: the tail at p is
+buf[p-_BLOCK+2 .. p], and the letter before it is buf[p-_BLOCK+1], or -1
+when the tail starts the word.  An index maps each tail to {letter before:
+latest end}, and earlier[j] links an end j to the previous end of the same
+tail and letter, or is -1; each earlier end j of the tail at p with another
+letter before it names the segment of period p - j.  The ends are read
+newest first, so a chain stops at the least end still of use.  The word
+engine checks a segment once, where it could first close a square: it waits
+in the list of periods due at that position.  find_repetition checks at
+once whether it is at least l positions long.  Shorter periods are found
+through the occurrences of the placed letter in the engine and through one
+xor pass each in find_repetition.
 """
 
 from __future__ import annotations
 
-from array import array
 from math import perm
 
 from .errors import Budget, FrozenValue, NoSuchSequenceError, ResourceLimitError
@@ -143,40 +147,6 @@ def _least_square_start(buf: bytes, period: int) -> int | None:
     return i if i >= 0 else None
 
 
-def _new_segments(index: dict, earlier: list, view, p: int, block: int, lo: int, keep: bool):
-    """The ends j >= lo of the earlier tails that open a repeated segment at
-    p, and the entry that p joined (None unless ``keep``).
-
-    The tail at p is view[p-block+2 .. p], and the letter before it is
-    view[p-block+1], or -1 when the tail starts the word.  ``index`` maps
-    each tail to {letter before: latest end}, and ``earlier[j]`` links an end
-    to the previous end of the same tail and letter.  Each earlier end j of
-    the same tail with another letter before it opens a segment of period
-    p - j whose first block - 1 positions end at p (see the module
-    docstring).  The ends are read newest first, so each chain stops at lo,
-    and an end of -1 stands for none.  With ``keep`` the tail at p is
-    entered; the caller pops it by setting the returned entry's value for
-    the letter before back to earlier[p].
-    """
-    tail = view[p - block + 2 : p + 1].tobytes()
-    before = view[p - block + 1] if p >= block - 1 else -1
-    ends = index.get(tail)
-    found = []
-    if ends is not None:
-        for c, j in ends.items():
-            if c != before:
-                while j >= lo:
-                    found.append(j)
-                    j = earlier[j]
-    if keep:
-        if ends is None:
-            ends = index[tail] = {}
-        earlier[p] = ends.get(before, -1)
-        ends[before] = p
-        return found, ends
-    return found, None
-
-
 def find_repetition(
     seq: SymbolSeq, max_period: int | None = None
 ) -> tuple[int, int] | None:
@@ -190,7 +160,7 @@ def find_repetition(
     l lies in a segment (see the module docstring), and if the segment has
     at least l positions from its left end s on, the square at s - l
     (0-based) is the least of period l in it.  Each segment of at least
-    _BLOCK - 1 positions is named once, at p = s + _BLOCK - 2, and one
+    _BLOCK - 1 positions is named at p = s + _BLOCK - 2, and one
     compare of positions p+1 .. s+l-1 with those l back tells whether it
     reaches l positions.  The answer is the least (start, l) over the xor
     passes and those segments.  Tails that can only open squares starting
@@ -222,13 +192,23 @@ def find_repetition(
         # a tail ending at j opens squares that start at j - block + 2
         if best is not None and lo - block + 3 > best[0]:
             break  # every later square starts after the best one
-        keep = p <= n - block - 2 and (best is None or p - block + 3 <= best[0])
-        found, _ = _new_segments(index, earlier, view, p, block, lo, keep)
-        for j in found:
-            l = p - j
-            if l >= block and (best is None or (s - l + 1, l) < best):
-                if view[p + 1 : s + l] == view[p + 1 - l : s]:
-                    best = (s - l + 1, l)
+        tail = buf[s : p + 1]
+        before = buf[s - 1] if s else -1
+        ends = index.get(tail)
+        if ends is not None:
+            for c, j in ends.items():
+                if c != before:
+                    while j >= lo:
+                        l = p - j
+                        if l >= block and (best is None or (s - l + 1, l) < best):
+                            if view[p + 1 : s + l] == view[p + 1 - l : s]:
+                                best = (s - l + 1, l)
+                        j = earlier[j]
+        if p <= n - block - 2 and (best is None or p - block + 3 <= best[0]):
+            if ends is None:
+                ends = index[tail] = {}
+            earlier[p] = ends.get(before, -1)
+            ends[before] = p
     return best
 
 
@@ -275,17 +255,20 @@ def _square_free_words(
       of the prefix, which is square-free.  So the placement of s+_BLOCK-2,
       before p, named the segment (see the module docstring), and only then:
       the segment could close a square at due = s+l-1 = p, and only with the
-      letter buf[p-l].  The segment waits in a list for position due; on
-      reaching it, one memcmp of buf[s+_BLOCK-1 .. p-1] with the letters l
-      back tells whether that letter is refused.  Undo pops the index entry
-      and the segments that the placement pushed.  The index is kept only
-      when max_period >= _BLOCK, and only for tails some square of the word
-      can start with.
+      letter buf[p-l].  Its period l waits in the list of periods due at
+      that position; on reaching it, one memcmp of buf[s+_BLOCK-1 .. p-1]
+      with the letters l back tells whether that letter is refused.  Undo
+      pops the index entry and the periods that the placement pushed, which
+      top their lists.  The index is kept only when max_period >= _BLOCK,
+      and only for tails some square of the word can start with.
     Every candidate is accepted or refused as by a scan of every period, so
     the words, their order and the nodes charged do not depend on _BLOCK.
-    A placement costs about _BLOCK/sigma probes and one lookup, and each
-    segment one memcmp, where a scan of the occurrence list costs about
-    p/(2 sigma) probes.
+    The letters refused at a position whatever the candidate (the previous
+    one, the one before it with ``palindrome_free``, those banned after the
+    previous one and those of due segments) are gathered once, before its
+    candidates.  A placement costs about _BLOCK/sigma probes and one
+    lookup, and each segment one memcmp, where a scan of the occurrence list
+    costs about p/(2 sigma) probes.
     """
     if length == 0:
         yield bytearray()
@@ -302,42 +285,34 @@ def _square_free_words(
     start_from = [0] * length
     used = [0] * length  # distinct letters in buf[:p], with letters_in_order
     short_l = min(max_l, block - 1)  # periods left to the occurrence lists
-    # long periods: the tail index of _new_segments, the entry each
-    # placement joined, and the pending segments as a stack of (period l,
-    # due position) with a list per due position through head and nxt
+    # refused after each letter: itself and the letters banned after it
+    after = [(a,) + tuple(y for y in range(sigma) if (a, y) in banned_adjacent)
+             for a in range(sigma)]
+    # long periods: the tail index, the entry each placement joined, the
+    # periods due at each position, and the due positions in push order
     indexed = max_l >= block
     keep_to = length - block - 2  # the last tail that can open a square
     index: dict = {}
     earlier = [-1] * length
     joined: list = [None] * length
-    head = array("i", [-1]) * length
-    nxt = array("i")
-    per = array("i")
-    due = array("i")
+    pending: list[list[int]] = [[] for _ in range(length)]
+    dues: list[int] = []
     pos = 0
     charge = budget.charge
     while True:
         placed = False
         lo = pos - min((pos + 1) // 2, short_l)  # least i with period pos-i checked
-        refused = ()
-        if indexed:
-            e = head[pos]
-            while e >= 0:
-                l = per[e]
-                # the segment named at pos-l+block-1 holds its square now if
-                # it reached pos-1
-                if view[pos - l + block : pos] == view[pos - 2 * l + block : pos - l]:
-                    refused += (buf[pos - l],)
-                e = nxt[e]
+        refused = after[buf[pos - 1]] if pos else ()
+        if palindrome_free and pos >= 2:
+            refused += (buf[pos - 2],)
+        for l in pending[pos]:
+            # the segment named at pos-l+block-1 holds its square now if it
+            # reached pos-1
+            if view[pos - l + block : pos] == view[pos - 2 * l + block : pos - l]:
+                refused += (buf[pos - l],)
         top = min(used[pos] + 1, sigma) if letters_in_order else sigma
         for x in range(start_from[pos], top):
             charge()
-            if pos >= 1 and buf[pos - 1] == x:
-                continue
-            if palindrome_free and pos >= 2 and buf[pos - 2] == x:
-                continue
-            if pos >= 1 and (buf[pos - 1], x) in banned_adjacent:
-                continue
             if x in refused:
                 continue
             ok = True
@@ -359,16 +334,23 @@ def _square_free_words(
             # is due at pos-block+1+l, with l >= block
             if indexed and (block - 2 <= pos <= keep_to or block * 2 - 2 <= pos < length - 1):
                 lo_long = max(pos - min(max_l, length - pos + block - 2), block - 2)
-                found, joined[pos] = _new_segments(
-                    index, earlier, view, pos, block, lo_long, pos <= keep_to
-                )
-                for j in found:
-                    l = pos - j
-                    d = pos - block + 1 + l
-                    nxt.append(head[d])
-                    head[d] = len(per)
-                    per.append(l)
-                    due.append(d)
+                tail = view[pos - block + 2 : pos + 1].tobytes()
+                before = buf[pos - block + 1] if pos >= block - 1 else -1
+                ends = index.get(tail)
+                if ends is not None:
+                    for c, j in ends.items():
+                        if c != before:
+                            while j >= lo_long:
+                                d = 2 * pos - block + 1 - j
+                                pending[d].append(pos - j)
+                                dues.append(d)
+                                j = earlier[j]
+                if pos <= keep_to:
+                    if ends is None:
+                        ends = index[tail] = {}
+                    earlier[pos] = ends.get(before, -1)
+                    ends[before] = pos
+                    joined[pos] = ends
             start_from[pos] = x + 1
             placed = True
             break
@@ -389,9 +371,8 @@ def _square_free_words(
         if indexed:
             if block - 2 <= pos <= keep_to:
                 joined[pos][buf[pos - block + 1] if pos >= block - 1 else -1] = earlier[pos]
-            while per and due[-1] - per[-1] + block - 1 == pos:
-                head[due.pop()] = nxt.pop()
-                per.pop()
+            while dues and dues[-1] - pending[dues[-1]][-1] + block - 1 == pos:
+                pending[dues.pop()].pop()
 
 
 def _least_word(sigma: int, length: int, what: str, budget: Budget | None, **constraints):
@@ -461,6 +442,18 @@ def find_valley(profile: GapProfile) -> int | None:
     return None
 
 
+def _has_valley(word) -> bool:
+    """find_valley(gap_profile(word)) is not None, by one scan of the peaks
+    and gaps of a byte string that stops at the first valley."""
+    a, b, last = -2, -1, 0  # the last two gaps (-2, -1 before there are two) and peak
+    for i, x, z in zip(range(1, len(word)), word, word[2:]):
+        if x == z:
+            if a >= b <= i - last - 1:
+                return True
+            a, b, last = b, i - last - 1, i
+    return a >= b <= len(word) - last - 2  # the gap that ends at the last letter
+
+
 # canonical valley shapes, one per middle-gap value; letters 0,1,2 = A,B,C
 _VALLEY_PATTERNS = {
     1: tuple(SymbolSeq.from_str("CBABCBA", 3).symbols),
@@ -511,7 +504,7 @@ def _charge_sweep(sigma: int, length: int, max_rep_len: int, budget: Budget | No
     if not 0 <= length <= 24:
         raise ValueError(f"enumeration length must be between 0 and 24, got {length}")
     if max_rep_len < 2:
-        raise ValueError("invalid enumeration parameters")
+        raise ValueError(f"max repetition length must be at least 2, got {max_rep_len}")
     projected = sigma * max(sigma - 1, 1) ** max(length - 1, 0)
     (budget or Budget()).charge(projected)
 
@@ -565,8 +558,9 @@ def valley_census(
        engine, pruned to canonical prefixes, still reaches every class.
     So each canonical word adds perm(sigma, m) to both counts where it has
     a valley, and to the first only where it has none; m = max(word) + 1,
-    or 0 for the empty word.  Validation and the budget charge are those of
-    enumerate_bounded_nonrep.
+    or 0 for the empty word.  The valley test is one scan of the live
+    buffer's peaks and gaps that stops at the first valley.  Validation and
+    the budget charge are those of enumerate_bounded_nonrep.
     """
     _charge_sweep(sigma, length, max_rep_len, budget)
     count = with_valley = 0
@@ -576,6 +570,6 @@ def valley_census(
     ):
         weight = perm(sigma, max(word, default=-1) + 1)
         count += weight
-        if find_valley(gap_profile(SymbolSeq(tuple(word), sigma))) is not None:
+        if _has_valley(word):
             with_valley += weight
     return count, with_valley

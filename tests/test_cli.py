@@ -748,6 +748,11 @@ class TestSeq:
         assert code == 2
         assert out == "" and "between 1 and 256" in err
 
+    def test_enumerate_short_maxrep_exit_2(self, capsys):
+        code, out, err = run(capsys, "seq", "enumerate", "--maxrep", "1")
+        assert code == 2
+        assert out == "" and "max repetition length must be at least 2, got 1" in err
+
     def test_kozik_out_of_words_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sequences, "_square_free_words", lambda *a, **kw: iter(()))
         code, out, err = run(capsys, "seq", "kozik", "--len", "5")

@@ -436,6 +436,18 @@ class TestValleyCensus:
                     sigma, length, maxrep
                 ), (length, maxrep)
 
+    def test_valley_scan_matches_the_gap_profile(self):
+        # every ternary word up to 9 letters: with equal neighbours, without
+        # an interior peak, and with a valley only through the last gap
+        seen = set()
+        for length in range(10):
+            for w in product(range(3), repeat=length):
+                profile = gap_profile(SymbolSeq(w, 3))
+                want = find_valley(profile)
+                assert sequences._has_valley(bytes(w)) == (want is not None), w
+                seen.add((len(profile.peaks) > 2, want == len(profile.gaps) - 3))
+        assert seen == {(False, False), (True, False), (True, True)}
+
     @pytest.mark.parametrize("length, maxrep", [(20, 32), (22, 32), (24, 40)])
     def test_matches_every_word_with_the_block_index_on(self, length, maxrep):
         # the index is kept, though no square of period 16 fits in 24
@@ -484,12 +496,18 @@ class TestValleyCensus:
         assert self.letter_order_matches(4, 2 * self.K + 2, True, CD, max_period)
 
     @pytest.mark.parametrize(
-        "args",
-        [(0, 3, 6), (300, 3, 6), (3, -2, 6), (3, 25, 6), (3, 5, 1)],
+        "args, match",
+        [
+            ((0, 3, 6), None),
+            ((300, 3, 6), None),
+            ((3, -2, 6), None),
+            ((3, 25, 6), None),
+            ((3, 5, 1), "max repetition length must be at least 2, got 1"),
+        ],
         ids=["sigma-0", "sigma-300", "length-negative", "length-25", "maxrep-1"],
     )
-    def test_validation_matches_the_sweep(self, args):
-        with pytest.raises(ValueError) as want:
+    def test_validation_matches_the_sweep(self, args, match):
+        with pytest.raises(ValueError, match=match) as want:
             enumerate_bounded_nonrep(*args)
         with pytest.raises(ValueError) as got:
             valley_census(*args)
