@@ -37,8 +37,8 @@ newest first, so a chain stops at the least end still of use.  The word
 engine checks a segment once, where it could first close a square: it waits
 in the list of periods due at that position.  find_repetition checks at
 once whether it is at least l positions long.  Shorter periods are found
-through the occurrences of the placed letter in the engine and through one
-xor pass each in find_repetition.
+through the letters before each position in the engine, which decide them,
+and through one xor pass each in find_repetition.
 """
 
 from __future__ import annotations
@@ -246,9 +246,18 @@ def _square_free_words(
     Incremental check: after placing position p, only squares ending at p can
     be new; the halves of a square of period l are buf[p-2l+1 .. p-l] and
     buf[p-l+1 .. p].
-    - Periods l < _BLOCK are read off the occurrence list of the placed
-      symbol (the halves' last letters match), back to position p-_BLOCK+1,
-      and each is confirmed with one probe and a memcmp of the overlap.
+    - The letters refused at p through periods l < _BLOCK, the previous
+      letter, the letters banned after it and, with ``palindrome_free``, the
+      letter two back are fixed by the context of p, its last
+      c = min(p, ctx_len) letters, ctx_len = max(2 short_l - 1, 2): a square
+      of period 2 <= l <= min(short_l, (p+1)//2) ending at p needs
+      buf[p] == buf[p-l] and halves buf[p-2l+1 .. p-l-1] == buf[p-l+1 .. p-1]
+      (last letters, first letters, then a memcmp), all in the context, and
+      the bound on l depends on p only while p < ctx_len.  So two positions
+      with one ctx_len-letter context refuse the same letters, kept in
+      ``memo`` under its bytes once per factor met (450 for the least
+      ternary word of 10 000 letters); shorter contexts are whole prefixes,
+      met at one position, and not stored.  Re-entries read ``refusing``.
     - Periods l >= _BLOCK: such a square fills the segment of positions i
       with buf[i] == buf[i-l] from s = p-l+1 to p, and the segment starts at
       s exactly: had it started earlier, buf[p-2l .. p-1] would be a square
@@ -256,19 +265,17 @@ def _square_free_words(
       before p, named the segment (see the module docstring), and only then:
       the segment could close a square at due = s+l-1 = p, and only with the
       letter buf[p-l].  Its period l waits in the list of periods due at
-      that position; on reaching it, one memcmp of buf[s+_BLOCK-1 .. p-1]
-      with the letters l back tells whether that letter is refused.  Undo
-      pops the index entry and the periods that the placement pushed, which
-      top their lists.  The index is kept only when max_period >= _BLOCK,
-      and only for tails some square of the word can start with.
+      that position, and only a candidate equal to buf[p-l] pays one memcmp
+      of buf[s+_BLOCK-1 .. p-1] with the letters l back, which tells whether
+      it is refused.  Undo pops the index entry and the periods that the
+      placement pushed, which top their lists.  The index is kept only when
+      max_period >= _BLOCK, and only for tails some square of the word can
+      start with.
     Every candidate is accepted or refused as by a scan of every period, so
     the words, their order and the nodes charged do not depend on _BLOCK.
-    The letters refused at a position whatever the candidate (the previous
-    one, the one before it with ``palindrome_free``, those banned after the
-    previous one and those of due segments) are gathered once, before its
-    candidates.  A placement costs about _BLOCK/sigma probes and one
-    lookup, and each segment one memcmp, where a scan of the occurrence list
-    costs about p/(2 sigma) probes.
+    A position costs a lookup of its context (a new one about short_l letter
+    compares), and a candidate one ``in`` test and a memcmp per due segment
+    whose letter it is.
     """
     if length == 0:
         yield bytearray()
@@ -281,10 +288,12 @@ def _square_free_words(
     block = _BLOCK
     buf = bytearray(length)
     view = memoryview(buf)
-    occ: list[list[int]] = [[] for _ in range(sigma)]
     start_from = [0] * length
     used = [0] * length  # distinct letters in buf[:p], with letters_in_order
-    short_l = min(max_l, block - 1)  # periods left to the occurrence lists
+    short_l = min(max_l, block - 1)  # periods refused through the context
+    ctx_len = max(2 * short_l - 1, 2)  # the letters that decide those refusals
+    memo: dict = {}  # the short refusals after each ctx_len-letter context
+    refusing: list = [()] * length  # the short refusals at each position
     # refused after each letter: itself and the letters banned after it
     after = [(a,) + tuple(y for y in range(sigma) if (a, y) in banned_adjacent)
              for a in range(sigma)]
@@ -301,34 +310,41 @@ def _square_free_words(
     charge = budget.charge
     while True:
         placed = False
-        lo = pos - min((pos + 1) // 2, short_l)  # least i with period pos-i checked
-        refused = after[buf[pos - 1]] if pos else ()
-        if palindrome_free and pos >= 2:
-            refused += (buf[pos - 2],)
-        for l in pending[pos]:
-            # the segment named at pos-l+block-1 holds its square now if it
-            # reached pos-1
-            if view[pos - l + block : pos] == view[pos - 2 * l + block : pos - l]:
-                refused += (buf[pos - l],)
+        if not start_from[pos]:  # the first entry; re-entries keep buf[:pos]
+            key = view[pos - ctx_len : pos].tobytes() if pos >= ctx_len else None
+            refused = memo.get(key)
+            if refused is None:
+                refused = after[buf[pos - 1]] if pos else ()
+                if palindrome_free and pos >= 2:
+                    refused += (buf[pos - 2],)
+                last = buf[pos - 1]  # unread at pos 0, where no period fits
+                for l in range(2, min(short_l, (pos + 1) // 2) + 1):
+                    # the halves but the letter at pos: last letters, first, the rest
+                    if buf[pos - l - 1] == last and buf[pos - 2 * l + 1] == buf[pos - l + 1] and (
+                        l == 2 or view[pos - 2 * l + 2 : pos - l] == view[pos - l + 2 : pos]
+                    ):
+                        refused += (buf[pos - l],)
+                if key is not None:
+                    memo[key] = refused
+            refusing[pos] = refused
+        refused = refusing[pos]
+        due = pending[pos]
         top = min(used[pos] + 1, sigma) if letters_in_order else sigma
         for x in range(start_from[pos], top):
             charge()
             if x in refused:
                 continue
             ok = True
-            for i in reversed(occ[x]):
-                if i < lo:
-                    break
-                l = pos - i
-                if buf[pos - 2 * l + 1] != buf[i + 1]:
-                    continue
-                if l == 2 or view[pos - 2 * l + 2 : pos - l] == view[i + 2 : pos]:
+            for l in due:
+                # the segment named at pos-l+block-1 closes a square with x
+                # if x is its letter and it reached pos-1
+                if x == buf[pos - l] and (
+                        view[pos - l + block : pos] == view[pos - 2 * l + block : pos - l]):
                     ok = False
                     break
             if not ok:
                 continue
             buf[pos] = x
-            occ[x].append(pos)
             # the tail here is kept if a later square can start with it, and
             # looked up if a segment named here can still close a square: it
             # is due at pos-block+1+l, with l >= block
@@ -367,7 +383,6 @@ def _square_free_words(
         pos -= 1
         if pos < 0:
             return
-        occ[buf[pos]].pop()
         if indexed:
             if block - 2 <= pos <= keep_to:
                 joined[pos][buf[pos - block + 1] if pos >= block - 1 else -1] = earlier[pos]

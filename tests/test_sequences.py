@@ -658,11 +658,14 @@ class TestEngineDifferential:
 
     @pytest.mark.parametrize("sigma, palindrome_free, banned", CONSTRAINTS)
     def test_every_word_around_two_short_blocks(self, monkeypatch, sigma, palindrome_free, banned):
-        # a block of 3 puts the index boundary where naive checks are cheap
+        # a block of 3 puts the index boundary where naive checks are cheap;
+        # max_period 1 and 2 refuse through contexts of 2 and 3 letters, so
+        # a context long enough for the squares but not for the palindrome
+        # letter is caught
         block = 3
         monkeypatch.setattr(sequences, "_BLOCK", block)
         length = 2 * block + 2
-        for max_period in (block - 1, block, block + 1, None):
+        for max_period in (1, block - 1, block, block + 1, None):
             walk = list(naive_walk(sigma, length, max_period, palindrome_free, banned))
             want = [w for w, _ in walk if w is not None and len(w) == length]
             assert engine_words(sigma, length, max_period, palindrome_free, banned) == (
